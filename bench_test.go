@@ -82,10 +82,10 @@ func runPRIter(w *harness.Workload, o *algos.Options) {
 func BenchmarkFig6(b *testing.B) {
 	g := sage.GenerateRMAT(benchScale, 16, 1)
 	for _, workers := range []int{1, sage.Workers()} {
-		for name, run := range map[string]func(e *sage.Engine){
-			"BFS":          func(e *sage.Engine) { e.MustBFS(g, 0) },
-			"Connectivity": func(e *sage.Engine) { e.MustConnectivity(g) },
-			"KCore":        func(e *sage.Engine) { e.MustKCore(g) },
+		for name, run := range map[string]func(b *testing.B, e *sage.Engine){
+			"BFS":          func(b *testing.B, e *sage.Engine) { must(e.NewRun().BFS(bg, g, 0))(b) },
+			"Connectivity": func(b *testing.B, e *sage.Engine) { must(e.NewRun().Connectivity(bg, g))(b) },
+			"KCore":        func(b *testing.B, e *sage.Engine) { must(e.NewRun().KCore(bg, g))(b) },
 		} {
 			b.Run(benchName(name, workers), func(b *testing.B) {
 				old := sage.Workers()
@@ -94,7 +94,7 @@ func BenchmarkFig6(b *testing.B) {
 				e := sage.NewEngine(sage.WithMode(sage.AppDirect))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					run(e)
+					run(b, e)
 				}
 			})
 		}
@@ -216,7 +216,7 @@ func BenchmarkTable4BlockSize(b *testing.B) {
 			var total int64
 			for i := 0; i < b.N; i++ {
 				e := sage.NewEngine(sage.WithMode(sage.AppDirect), sage.WithFilterBlockSize(bs))
-				res := e.MustTriangleCount(cg)
+				res := must(e.NewRun().TriangleCount(bg, cg))(b)
 				total = res.TotalWork
 			}
 			b.ReportMetric(float64(total), "decode-work")
@@ -300,7 +300,7 @@ func BenchmarkTraversalStrategies(b *testing.B) {
 			e := sage.NewEngine(sage.WithMode(sage.AppDirect), sage.WithStrategy(s))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.MustBFS(g, 0)
+				must(e.NewRun().BFS(bg, g, 0))(b)
 			}
 		})
 	}
@@ -313,13 +313,13 @@ func BenchmarkWidestPathVariants(b *testing.B) {
 	b.Run("BellmanFordStyle", func(b *testing.B) {
 		e := sage.NewEngine()
 		for i := 0; i < b.N; i++ {
-			e.MustWidestPath(g, 0)
+			must(e.NewRun().WidestPath(bg, g, 0))(b)
 		}
 	})
 	b.Run("Bucketed", func(b *testing.B) {
 		e := sage.NewEngine()
 		for i := 0; i < b.N; i++ {
-			e.MustWidestPathBucketed(g, 0)
+			must(e.NewRun().WidestPathBucketed(bg, g, 0))(b)
 		}
 	})
 }

@@ -121,13 +121,17 @@ func TestStatsSnapshotDuringRuns(t *testing.T) {
 		wait.Add(1)
 		go func(i int) {
 			defer wait.Done()
+			var err error
 			switch i % 3 {
 			case 0:
-				e.MustBFS(g, 0)
+				_, err = e.NewRun().BFS(bg, g, 0)
 			case 1:
-				e.MustConnectivity(g)
+				_, err = e.NewRun().Connectivity(bg, g)
 			case 2:
-				e.MustKCore(g)
+				_, err = e.NewRun().KCore(bg, g)
+			}
+			if err != nil {
+				t.Error(err)
 			}
 		}(i)
 	}
@@ -150,8 +154,14 @@ func TestConcurrentEnginesIsolated(t *testing.T) {
 	var wait sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wait.Add(2)
-		go func() { defer wait.Done(); e1.MustConnectivity(g) }()
-		go func() { defer wait.Done(); e2.MustConnectivity(g) }()
+		for _, e := range []*sage.Engine{e1, e2} {
+			go func() {
+				defer wait.Done()
+				if _, err := e.NewRun().Connectivity(bg, g); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
 	}
 	wait.Wait()
 	if e1.Stats().DRAMReads == 0 || e2.Stats().DRAMReads == 0 {
@@ -169,7 +179,7 @@ func TestCancellationPreCancelled(t *testing.T) {
 	e := sage.NewEngine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	labels, err := e.Connectivity(ctx, g)
+	labels, err := e.NewRun().Connectivity(ctx, g)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -177,7 +187,7 @@ func TestCancellationPreCancelled(t *testing.T) {
 		t.Fatal("cancelled run returned a result")
 	}
 	// The engine remains usable after a cancelled run.
-	if got := e.MustConnectivity(g); len(got) != int(g.NumVertices()) {
+	if got := must(e.NewRun().Connectivity(bg, g))(t); len(got) != int(g.NumVertices()) {
 		t.Fatal("engine broken after cancellation")
 	}
 }
@@ -194,7 +204,7 @@ func TestCancellationMidRun(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	ranks, iters, err := e.PageRank(ctx, g, 1e-300, 1<<30)
+	ranks, iters, err := e.NewRun().PageRank(ctx, g, 1e-300, 1<<30)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v (iters=%d), want context.Canceled", err, iters)
 	}
@@ -216,7 +226,7 @@ func TestCancellationDeadline(t *testing.T) {
 	e := sage.NewEngine()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, _, err := e.PageRank(ctx, g, 1e-300, 1<<30)
+	_, _, err := e.NewRun().PageRank(ctx, g, 1e-300, 1<<30)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -254,7 +264,7 @@ func TestWithCacheOrderIndependent(t *testing.T) {
 
 func mustStats(t *testing.T, e *sage.Engine, g *sage.Graph) sage.Stats {
 	t.Helper()
-	e.MustConnectivity(g)
+	must(e.NewRun().Connectivity(bg, g))(t)
 	return e.Stats()
 }
 
@@ -340,7 +350,7 @@ func TestRegistryMatchesTypedAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := e.MustBFS(g, 0)
+	want := must(e.NewRun().BFS(bg, g, 0))(t)
 	got, ok := res.Value.([]uint32)
 	if !ok {
 		t.Fatalf("bfs value has type %T", res.Value)

@@ -32,7 +32,7 @@ func regressWorkloads(t *testing.T, opts ...sage.Option) map[string]sage.RunStat
 		fn()
 		out[name] = sage.RunStats(e.Stats())
 	}
-	run("bfs", func() { e.MustBFS(g, 0) })
+	run("bfs", func() { must(e.NewRun().BFS(bg, g, 0))(t) })
 	run("pagerankiter", func() {
 		n := int(g.NumVertices())
 		prev := make([]float64, n)
@@ -40,10 +40,10 @@ func regressWorkloads(t *testing.T, opts ...sage.Option) map[string]sage.RunStat
 		for i := range prev {
 			prev[i] = 1 / float64(n)
 		}
-		e.MustPageRankIter(g, prev, next)
+		must(e.NewRun().PageRankIter(bg, g, prev, next))(t)
 	})
-	run("connectivity", func() { e.MustConnectivity(g) })
-	run("kcore", func() { e.MustKCore(g) })
+	run("connectivity", func() { must(e.NewRun().Connectivity(bg, g))(t) })
+	run("kcore", func() { must(e.NewRun().KCore(bg, g))(t) })
 	return out
 }
 

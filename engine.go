@@ -13,28 +13,26 @@ import (
 
 // Engine is an immutable, goroutine-safe algorithm configuration: the
 // memory mode, cost model, traversal strategy, and seed policy fixed at
-// construction. Every algorithm call executes as its own Run — a session
+// construction. Every algorithm call executes in a Run — a session
 // owning private PSAM counters, a private Memory-Mode cache, and private
 // decode scratch — whose totals are merged atomically into the engine's
-// aggregate on completion. Concurrent calls on one Engine are therefore
+// aggregate on completion. Concurrent runs on one Engine are therefore
 // correct by construction: they share only the immutable configuration
 // and the atomic aggregate.
 //
-// Two call styles are exposed for every algorithm:
-//
-//	parents, err := e.BFS(ctx, g, 0)   // context-aware; err is ctx.Err() on cancellation
-//	parents := e.MustBFS(g, 0)         // thin convenience wrapper, background context
-//
-// and a Run can be held explicitly when the per-call statistics matter:
+// Each algorithm has one typed, context-aware entry point on Run:
 //
 //	run := e.NewRun()
-//	parents, err := run.BFS(ctx, g, 0)
-//	fmt.Println(run.Stats())           // this call's counters alone
+//	parents, err := run.BFS(ctx, g, 0) // err is ctx.Err() on cancellation
+//	fmt.Println(run.Stats())           // this session's counters alone
+//
+// RunAlgorithm invokes the same algorithms by registry name, one fresh
+// Run per call.
 type Engine struct {
 	cfg config
 	agg psam.AtomicCounts
 	// pools recycles traversal scratch (*traverse.Pools) across
-	// engine-level calls, so a loop of e.BFS/e.MustBFS keeps its warmed
+	// RunAlgorithm calls, so a loop of invocations keeps its warmed
 	// decode buffers and chunk free lists instead of allocating a fresh
 	// set per call. Scratch carries no cross-run state once a run's
 	// counters are merged, so recycling is safe; explicitly held Runs
@@ -223,8 +221,8 @@ func (e *Engine) ResetStats() { e.agg.Reset() }
 // Run is one algorithm session: it owns a private PSAM environment
 // (counters, space tracker, Memory-Mode cache) and private traversal
 // scratch, and merges its totals into the engine aggregate after each
-// call. A Run is NOT goroutine-safe — issue concurrent calls through the
-// Engine (one Run per call) or create one Run per goroutine. A Run may be
+// call. A Run is NOT goroutine-safe — create one Run per goroutine (or
+// call Engine.RunAlgorithm, which opens one per call). A Run may be
 // reused for several sequential calls; Stats then reports the running
 // total of the session.
 type Run struct {
@@ -256,7 +254,7 @@ func (e *Engine) NewRun() *Run {
 }
 
 // recycle returns a completed run's traversal scratch to the engine for
-// reuse. Only engine-level wrappers call it, after the run's last use.
+// reuse. Only RunAlgorithm calls it, after the run's last use.
 func (e *Engine) recycle(r *Run) {
 	p := r.opts.Traverse.Pools
 	r.opts.Traverse.Pools = nil
@@ -320,39 +318,13 @@ func capture[T any](r *Run, ctx context.Context, f func(*algos.Options) T) (res 
 	return res, nil
 }
 
-// must panics on an unexpected error from a background-context call (the
-// convenience wrappers; a background context cannot be cancelled, so this
-// never fires in practice).
-func must(err error) {
-	if err != nil {
-		panic(fmt.Sprintf("sage: unexpected error from background-context run: %v", err))
-	}
-}
-
 // ---------------------------------------------------------------------
-// Algorithm surface. Each algorithm appears three times: the
-// context-aware Run method (the primitive — per-run stats via
-// Run.Stats), the context-aware Engine method (one fresh Run per call),
-// and the Must wrapper (background context, no error).
+// Algorithm surface: one typed, context-aware Run method per algorithm.
 // ---------------------------------------------------------------------
 
 // BFS returns a BFS parent array from src (Figure 4; Theorem 4.2).
 func (r *Run) BFS(ctx context.Context, g *Graph, src uint32) ([]uint32, error) {
 	return capture(r, ctx, func(o *algos.Options) []uint32 { return algos.BFS(g.use(), o, src) })
-}
-
-// BFS returns a BFS parent array from src (Figure 4; Theorem 4.2).
-func (e *Engine) BFS(ctx context.Context, g *Graph, src uint32) ([]uint32, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.BFS(ctx, g, src)
-}
-
-// MustBFS is BFS with a background context.
-func (e *Engine) MustBFS(g *Graph, src uint32) []uint32 {
-	v, err := e.BFS(context.Background(), g, src)
-	must(err)
-	return v
 }
 
 // WBFS returns integral-weight shortest-path distances from src via
@@ -361,37 +333,9 @@ func (r *Run) WBFS(ctx context.Context, g *Graph, src uint32) ([]uint32, error) 
 	return capture(r, ctx, func(o *algos.Options) []uint32 { return algos.WBFS(g.use(), o, src) })
 }
 
-// WBFS returns integral-weight shortest-path distances from src.
-func (e *Engine) WBFS(ctx context.Context, g *Graph, src uint32) ([]uint32, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.WBFS(ctx, g, src)
-}
-
-// MustWBFS is WBFS with a background context.
-func (e *Engine) MustWBFS(g *Graph, src uint32) []uint32 {
-	v, err := e.WBFS(context.Background(), g, src)
-	must(err)
-	return v
-}
-
 // BellmanFord returns general-weight shortest-path distances from src.
 func (r *Run) BellmanFord(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
 	return capture(r, ctx, func(o *algos.Options) []int64 { return algos.BellmanFord(g.use(), o, src) })
-}
-
-// BellmanFord returns general-weight shortest-path distances from src.
-func (e *Engine) BellmanFord(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.BellmanFord(ctx, g, src)
-}
-
-// MustBellmanFord is BellmanFord with a background context.
-func (e *Engine) MustBellmanFord(g *Graph, src uint32) []int64 {
-	v, err := e.BellmanFord(context.Background(), g, src)
-	must(err)
-	return v
 }
 
 // WidestPath returns single-source widest-path widths from src.
@@ -399,37 +343,9 @@ func (r *Run) WidestPath(ctx context.Context, g *Graph, src uint32) ([]int64, er
 	return capture(r, ctx, func(o *algos.Options) []int64 { return algos.WidestPath(g.use(), o, src) })
 }
 
-// WidestPath returns single-source widest-path widths from src.
-func (e *Engine) WidestPath(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.WidestPath(ctx, g, src)
-}
-
-// MustWidestPath is WidestPath with a background context.
-func (e *Engine) MustWidestPath(g *Graph, src uint32) []int64 {
-	v, err := e.WidestPath(context.Background(), g, src)
-	must(err)
-	return v
-}
-
 // WidestPathBucketed is the bucketing-based widest-path variant.
 func (r *Run) WidestPathBucketed(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
 	return capture(r, ctx, func(o *algos.Options) []int64 { return algos.WidestPathBucketed(g.use(), o, src) })
-}
-
-// WidestPathBucketed is the bucketing-based widest-path variant.
-func (e *Engine) WidestPathBucketed(ctx context.Context, g *Graph, src uint32) ([]int64, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.WidestPathBucketed(ctx, g, src)
-}
-
-// MustWidestPathBucketed is WidestPathBucketed with a background context.
-func (e *Engine) MustWidestPathBucketed(g *Graph, src uint32) []int64 {
-	v, err := e.WidestPathBucketed(context.Background(), g, src)
-	must(err)
-	return v
 }
 
 // Betweenness returns single-source betweenness dependencies from src.
@@ -437,37 +353,9 @@ func (r *Run) Betweenness(ctx context.Context, g *Graph, src uint32) ([]float64,
 	return capture(r, ctx, func(o *algos.Options) []float64 { return algos.Betweenness(g.use(), o, src) })
 }
 
-// Betweenness returns single-source betweenness dependencies from src.
-func (e *Engine) Betweenness(ctx context.Context, g *Graph, src uint32) ([]float64, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.Betweenness(ctx, g, src)
-}
-
-// MustBetweenness is Betweenness with a background context.
-func (e *Engine) MustBetweenness(g *Graph, src uint32) []float64 {
-	v, err := e.Betweenness(context.Background(), g, src)
-	must(err)
-	return v
-}
-
 // Spanner returns the edges of an O(k)-spanner (k=0 selects ⌈log₂ n⌉).
 func (r *Run) Spanner(ctx context.Context, g *Graph, k int) ([]Edge, error) {
 	return capture(r, ctx, func(o *algos.Options) []Edge { return algos.Spanner(g.use(), o, k) })
-}
-
-// Spanner returns the edges of an O(k)-spanner (k=0 selects ⌈log₂ n⌉).
-func (e *Engine) Spanner(ctx context.Context, g *Graph, k int) ([]Edge, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.Spanner(ctx, g, k)
-}
-
-// MustSpanner is Spanner with a background context.
-func (e *Engine) MustSpanner(g *Graph, k int) []Edge {
-	v, err := e.Spanner(context.Background(), g, k)
-	must(err)
-	return v
 }
 
 // LDD returns a low-diameter decomposition with parameter beta.
@@ -475,37 +363,9 @@ func (r *Run) LDD(ctx context.Context, g *Graph, beta float64) (*algos.LDDResult
 	return capture(r, ctx, func(o *algos.Options) *algos.LDDResult { return algos.LDD(g.use(), o, beta, o.Seed) })
 }
 
-// LDD returns a low-diameter decomposition with parameter beta.
-func (e *Engine) LDD(ctx context.Context, g *Graph, beta float64) (*algos.LDDResult, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.LDD(ctx, g, beta)
-}
-
-// MustLDD is LDD with a background context.
-func (e *Engine) MustLDD(g *Graph, beta float64) *algos.LDDResult {
-	v, err := e.LDD(context.Background(), g, beta)
-	must(err)
-	return v
-}
-
 // Connectivity returns connected-component labels.
 func (r *Run) Connectivity(ctx context.Context, g *Graph) ([]uint32, error) {
 	return capture(r, ctx, func(o *algos.Options) []uint32 { return algos.Connectivity(g.use(), o) })
-}
-
-// Connectivity returns connected-component labels.
-func (e *Engine) Connectivity(ctx context.Context, g *Graph) ([]uint32, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.Connectivity(ctx, g)
-}
-
-// MustConnectivity is Connectivity with a background context.
-func (e *Engine) MustConnectivity(g *Graph) []uint32 {
-	v, err := e.Connectivity(context.Background(), g)
-	must(err)
-	return v
 }
 
 // SpanningForest returns the edges of a spanning forest.
@@ -513,37 +373,9 @@ func (r *Run) SpanningForest(ctx context.Context, g *Graph) ([]Edge, error) {
 	return capture(r, ctx, func(o *algos.Options) []Edge { return algos.SpanningForest(g.use(), o) })
 }
 
-// SpanningForest returns the edges of a spanning forest.
-func (e *Engine) SpanningForest(ctx context.Context, g *Graph) ([]Edge, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.SpanningForest(ctx, g)
-}
-
-// MustSpanningForest is SpanningForest with a background context.
-func (e *Engine) MustSpanningForest(g *Graph) []Edge {
-	v, err := e.SpanningForest(context.Background(), g)
-	must(err)
-	return v
-}
-
 // Biconnectivity returns the biconnected-component labeling.
 func (r *Run) Biconnectivity(ctx context.Context, g *Graph) (*algos.BiconnResult, error) {
 	return capture(r, ctx, func(o *algos.Options) *algos.BiconnResult { return algos.Biconnectivity(g.use(), o) })
-}
-
-// Biconnectivity returns the biconnected-component labeling.
-func (e *Engine) Biconnectivity(ctx context.Context, g *Graph) (*algos.BiconnResult, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.Biconnectivity(ctx, g)
-}
-
-// MustBiconnectivity is Biconnectivity with a background context.
-func (e *Engine) MustBiconnectivity(g *Graph) *algos.BiconnResult {
-	v, err := e.Biconnectivity(context.Background(), g)
-	must(err)
-	return v
 }
 
 // MIS returns a maximal independent set (deterministic in the seed).
@@ -551,56 +383,14 @@ func (r *Run) MIS(ctx context.Context, g *Graph) ([]bool, error) {
 	return capture(r, ctx, func(o *algos.Options) []bool { return algos.MIS(g.use(), o) })
 }
 
-// MIS returns a maximal independent set (deterministic in the seed).
-func (e *Engine) MIS(ctx context.Context, g *Graph) ([]bool, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.MIS(ctx, g)
-}
-
-// MustMIS is MIS with a background context.
-func (e *Engine) MustMIS(g *Graph) []bool {
-	v, err := e.MIS(context.Background(), g)
-	must(err)
-	return v
-}
-
 // MaximalMatching returns a maximal matching.
 func (r *Run) MaximalMatching(ctx context.Context, g *Graph) ([]Edge, error) {
 	return capture(r, ctx, func(o *algos.Options) []Edge { return algos.MaximalMatching(g.use(), o) })
 }
 
-// MaximalMatching returns a maximal matching.
-func (e *Engine) MaximalMatching(ctx context.Context, g *Graph) ([]Edge, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.MaximalMatching(ctx, g)
-}
-
-// MustMaximalMatching is MaximalMatching with a background context.
-func (e *Engine) MustMaximalMatching(g *Graph) []Edge {
-	v, err := e.MaximalMatching(context.Background(), g)
-	must(err)
-	return v
-}
-
 // Coloring returns a (Δ+1)-coloring.
 func (r *Run) Coloring(ctx context.Context, g *Graph) ([]uint32, error) {
 	return capture(r, ctx, func(o *algos.Options) []uint32 { return algos.Coloring(g.use(), o) })
-}
-
-// Coloring returns a (Δ+1)-coloring.
-func (e *Engine) Coloring(ctx context.Context, g *Graph) ([]uint32, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.Coloring(ctx, g)
-}
-
-// MustColoring is Coloring with a background context.
-func (e *Engine) MustColoring(g *Graph) []uint32 {
-	v, err := e.Coloring(context.Background(), g)
-	must(err)
-	return v
 }
 
 // ApproxSetCover solves the bipartite set-cover instance (sets are
@@ -609,37 +399,9 @@ func (r *Run) ApproxSetCover(ctx context.Context, g *Graph, numSets uint32) ([]u
 	return capture(r, ctx, func(o *algos.Options) []uint32 { return algos.ApproxSetCover(g.use(), o, numSets) })
 }
 
-// ApproxSetCover solves the bipartite set-cover instance.
-func (e *Engine) ApproxSetCover(ctx context.Context, g *Graph, numSets uint32) ([]uint32, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.ApproxSetCover(ctx, g, numSets)
-}
-
-// MustApproxSetCover is ApproxSetCover with a background context.
-func (e *Engine) MustApproxSetCover(g *Graph, numSets uint32) []uint32 {
-	v, err := e.ApproxSetCover(context.Background(), g, numSets)
-	must(err)
-	return v
-}
-
 // KCore returns the coreness of every vertex.
 func (r *Run) KCore(ctx context.Context, g *Graph) ([]uint32, error) {
 	return capture(r, ctx, func(o *algos.Options) []uint32 { return algos.KCore(g.use(), o) })
-}
-
-// KCore returns the coreness of every vertex.
-func (e *Engine) KCore(ctx context.Context, g *Graph) ([]uint32, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.KCore(ctx, g)
-}
-
-// MustKCore is KCore with a background context.
-func (e *Engine) MustKCore(g *Graph) []uint32 {
-	v, err := e.KCore(context.Background(), g)
-	must(err)
-	return v
 }
 
 // ApproxDensestSubgraph returns a 2(1+ε)-approximate densest subgraph.
@@ -647,38 +409,9 @@ func (r *Run) ApproxDensestSubgraph(ctx context.Context, g *Graph) (*algos.Dense
 	return capture(r, ctx, func(o *algos.Options) *algos.DensestResult { return algos.ApproxDensestSubgraph(g.use(), o) })
 }
 
-// ApproxDensestSubgraph returns a 2(1+ε)-approximate densest subgraph.
-func (e *Engine) ApproxDensestSubgraph(ctx context.Context, g *Graph) (*algos.DensestResult, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.ApproxDensestSubgraph(ctx, g)
-}
-
-// MustApproxDensestSubgraph is ApproxDensestSubgraph with a background
-// context.
-func (e *Engine) MustApproxDensestSubgraph(g *Graph) *algos.DensestResult {
-	v, err := e.ApproxDensestSubgraph(context.Background(), g)
-	must(err)
-	return v
-}
-
 // TriangleCount returns the triangle count with its work counters.
 func (r *Run) TriangleCount(ctx context.Context, g *Graph) (*algos.TriangleResult, error) {
 	return capture(r, ctx, func(o *algos.Options) *algos.TriangleResult { return algos.TriangleCount(g.use(), o) })
-}
-
-// TriangleCount returns the triangle count with its work counters.
-func (e *Engine) TriangleCount(ctx context.Context, g *Graph) (*algos.TriangleResult, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.TriangleCount(ctx, g)
-}
-
-// MustTriangleCount is TriangleCount with a background context.
-func (e *Engine) MustTriangleCount(g *Graph) *algos.TriangleResult {
-	v, err := e.TriangleCount(context.Background(), g)
-	must(err)
-	return v
 }
 
 // PageRank iterates to convergence (eps, maxIters) and returns the ranks
@@ -695,60 +428,16 @@ func (r *Run) PageRank(ctx context.Context, g *Graph, eps float64, maxIters int)
 	return res.ranks, res.iters, err
 }
 
-// PageRank iterates to convergence (eps, maxIters) and returns the ranks
-// and the number of iterations.
-func (e *Engine) PageRank(ctx context.Context, g *Graph, eps float64, maxIters int) ([]float64, int, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.PageRank(ctx, g, eps, maxIters)
-}
-
-// MustPageRank is PageRank with a background context.
-func (e *Engine) MustPageRank(g *Graph, eps float64, maxIters int) ([]float64, int) {
-	ranks, iters, err := e.PageRank(context.Background(), g, eps, maxIters)
-	must(err)
-	return ranks, iters
-}
-
 // PageRankIter runs one PageRank iteration (prev -> next), returning the
 // L1 change.
 func (r *Run) PageRankIter(ctx context.Context, g *Graph, prev, next []float64) (float64, error) {
 	return capture(r, ctx, func(o *algos.Options) float64 { return algos.PageRankIter(g.use(), o, prev, next) })
 }
 
-// PageRankIter runs one PageRank iteration (prev -> next), returning the
-// L1 change.
-func (e *Engine) PageRankIter(ctx context.Context, g *Graph, prev, next []float64) (float64, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.PageRankIter(ctx, g, prev, next)
-}
-
-// MustPageRankIter is PageRankIter with a background context.
-func (e *Engine) MustPageRankIter(g *Graph, prev, next []float64) float64 {
-	v, err := e.PageRankIter(context.Background(), g, prev, next)
-	must(err)
-	return v
-}
-
 // KCliqueCount counts k-cliques (k >= 3) via recursive intersection over
 // the filter-oriented DAG — the PSAM extension the paper's §3.2 proposes.
 func (r *Run) KCliqueCount(ctx context.Context, g *Graph, k int) (int64, error) {
 	return capture(r, ctx, func(o *algos.Options) int64 { return algos.KCliqueCount(g.use(), o, k) })
-}
-
-// KCliqueCount counts k-cliques (k >= 3).
-func (e *Engine) KCliqueCount(ctx context.Context, g *Graph, k int) (int64, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.KCliqueCount(ctx, g, k)
-}
-
-// MustKCliqueCount is KCliqueCount with a background context.
-func (e *Engine) MustKCliqueCount(g *Graph, k int) int64 {
-	v, err := e.KCliqueCount(context.Background(), g, k)
-	must(err)
-	return v
 }
 
 // PersonalizedPageRank computes the personalized PageRank vector of src
@@ -766,40 +455,11 @@ func (r *Run) PersonalizedPageRank(ctx context.Context, g *Graph, src uint32, da
 	return res.ranks, res.iters, err
 }
 
-// PersonalizedPageRank computes the personalized PageRank vector of src.
-func (e *Engine) PersonalizedPageRank(ctx context.Context, g *Graph, src uint32, damping, eps float64, maxIters int) ([]float64, int, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.PersonalizedPageRank(ctx, g, src, damping, eps, maxIters)
-}
-
-// MustPersonalizedPageRank is PersonalizedPageRank with a background
-// context.
-func (e *Engine) MustPersonalizedPageRank(g *Graph, src uint32, damping, eps float64, maxIters int) ([]float64, int) {
-	ranks, iters, err := e.PersonalizedPageRank(context.Background(), g, src, damping, eps, maxIters)
-	must(err)
-	return ranks, iters
-}
-
 // KTruss computes the trussness of every edge. Note the PSAM boundary
 // the paper draws (§3.2): the Θ(m)-word output forces Θ(m) small-memory
 // state, which Stats().PeakDRAMWords will reflect.
 func (r *Run) KTruss(ctx context.Context, g *Graph) (*algos.KTrussResult, error) {
 	return capture(r, ctx, func(o *algos.Options) *algos.KTrussResult { return algos.KTruss(g.use(), o) })
-}
-
-// KTruss computes the trussness of every edge.
-func (e *Engine) KTruss(ctx context.Context, g *Graph) (*algos.KTrussResult, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.KTruss(ctx, g)
-}
-
-// MustKTruss is KTruss with a background context.
-func (e *Engine) MustKTruss(g *Graph) *algos.KTrussResult {
-	v, err := e.KTruss(context.Background(), g)
-	must(err)
-	return v
 }
 
 // LocalCluster finds a low-conductance community around seed with a
@@ -808,18 +468,4 @@ func (r *Run) LocalCluster(ctx context.Context, g *Graph, seed uint32, damping f
 	return capture(r, ctx, func(o *algos.Options) *algos.LocalClusterResult {
 		return algos.LocalCluster(g.use(), o, seed, damping, maxSize)
 	})
-}
-
-// LocalCluster finds a low-conductance community around seed.
-func (e *Engine) LocalCluster(ctx context.Context, g *Graph, seed uint32, damping float64, maxSize int) (*algos.LocalClusterResult, error) {
-	r := e.NewRun()
-	defer e.recycle(r)
-	return r.LocalCluster(ctx, g, seed, damping, maxSize)
-}
-
-// MustLocalCluster is LocalCluster with a background context.
-func (e *Engine) MustLocalCluster(g *Graph, seed uint32, damping float64, maxSize int) *algos.LocalClusterResult {
-	v, err := e.LocalCluster(context.Background(), g, seed, damping, maxSize)
-	must(err)
-	return v
 }

@@ -4,9 +4,9 @@
 // sage.Open memory-maps it back, so the adjacency arrays the engine
 // traverses alias the file directly — the graph is consumed in place
 // from storage, exactly as Sage consumes it in place from App-Direct
-// NVRAM. The engine is an immutable configuration; every call runs as
-// its own session with private PSAM counters, so the example prints both
-// the per-run statistics of each call and the engine's aggregate.
+// NVRAM. The engine is an immutable configuration; every call runs in a
+// session (a Run) with private PSAM counters, so the example prints both
+// the per-run statistics of a call and the engine's aggregate.
 package main
 
 import (
@@ -19,6 +19,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A web-scale-shaped graph, scaled to a laptop: 2^16 vertices with
 	// average degree ~16 (compare Table 2's davg range of 17-76) —
 	// generated once and persisted, as sage-gen would.
@@ -47,8 +49,9 @@ func main() {
 	// chunked traversal, all mutable state in DRAM.
 	e := sage.NewEngine(sage.WithMode(sage.AppDirect))
 
-	// Figure 4's algorithm, as a one-liner (background context).
-	parents := e.MustBFS(g, 0)
+	// Figure 4's algorithm. Every algorithm is a method of a Run; a
+	// cancelled ctx stops it at a frontier boundary with ctx.Err().
+	parents := must(e.NewRun().BFS(ctx, g, 0))
 
 	reached := 0
 	for _, p := range parents {
@@ -58,11 +61,10 @@ func main() {
 	}
 	fmt.Printf("BFS from 0 reached %d vertices\n", reached)
 
-	// The same call as an explicit session: a Run owns its own counters,
-	// so its Stats describe this call alone — even when other goroutines
-	// use the engine concurrently.
+	// A Run owns its own counters, so its Stats describe its calls alone
+	// — even when other goroutines use the engine concurrently.
 	run := e.NewRun()
-	if _, _, err := run.PageRank(context.Background(), g, 1e-6, 100); err != nil {
+	if _, _, err := run.PageRank(ctx, g, 1e-6, 100); err != nil {
 		panic(err)
 	}
 	fmt.Println("PageRank run stats:", run.Stats())
@@ -78,7 +80,7 @@ func main() {
 	// the result is identical, and the graph occupies far less NVRAM.
 	cg := g.Compress(64)
 	e2 := sage.NewEngine(sage.WithMode(sage.AppDirect))
-	parents2 := e2.MustBFS(cg, 0)
+	parents2 := must(e2.NewRun().BFS(ctx, cg, 0))
 	same := true
 	for v := range parents {
 		if (parents[v] == ^uint32(0)) != (parents2[v] == ^uint32(0)) {
@@ -88,4 +90,12 @@ func main() {
 	}
 	fmt.Printf("compressed graph: %.1fx smaller, identical reachability: %v\n",
 		float64(g.SizeWords())/float64(cg.SizeWords()), same)
+}
+
+// must panics on an error; a background context never cancels a run.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"sage"
@@ -19,22 +20,23 @@ func main() {
 		g.NumVertices(), g.NumEdges(), log2(g.NumVertices()))
 
 	e := sage.NewEngine(sage.WithMode(sage.AppDirect))
+	run, ctx := e.NewRun(), context.Background()
 	src := uint32(0)
 	dst := g.NumVertices() - 1 // opposite corner
 
-	dist := e.MustWBFS(g, src)
+	dist := must(run.WBFS(ctx, g, src))
 	fmt.Printf("wBFS (bucketed): dist(corner->corner) = %d\n", dist[dst])
 
-	bf := e.MustBellmanFord(g, src)
+	bf := must(run.BellmanFord(ctx, g, src))
 	fmt.Printf("bellman-ford:    dist(corner->corner) = %d (agree: %v)\n",
 		bf[dst], int64(dist[dst]) == bf[dst])
 
-	w1 := e.MustWidestPath(g, src)
-	w2 := e.MustWidestPathBucketed(g, src)
+	w1 := must(run.WidestPath(ctx, g, src))
+	w2 := must(run.WidestPathBucketed(ctx, g, src))
 	fmt.Printf("widest path:     width(corner->corner) = %d (variants agree: %v)\n",
 		w1[dst], w1[dst] == w2[dst])
 
-	deps := e.MustBetweenness(g, src)
+	deps := must(run.Betweenness(ctx, g, src))
 	var maxDep float64
 	var maxV uint32
 	for v, d := range deps {
@@ -54,4 +56,12 @@ func log2(n uint32) int {
 		k++
 	}
 	return k
+}
+
+// must panics on an error; a background context never cancels a run.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"sage"
@@ -18,16 +19,17 @@ func main() {
 		g.NumVertices(), g.NumEdges(), maxDegree(g))
 
 	e := sage.NewEngine(sage.WithMode(sage.AppDirect))
+	run, ctx := e.NewRun(), context.Background()
 
 	// Triangle counting through the oriented graph filter (§4.3.4): the
 	// work counters are the quantities Table 4 studies.
-	tc := e.MustTriangleCount(g)
+	tc := must(run.TriangleCount(ctx, g))
 	fmt.Printf("triangles: %d (intersection work %d, decode work %d)\n",
 		tc.Count, tc.IntersectionWork, tc.TotalWork)
 
 	// Coreness of every vertex by bucketed peeling; kmax bounds the
 	// densest community's connectivity.
-	core := e.MustKCore(g)
+	core := must(run.KCore(ctx, g))
 	kmax := uint32(0)
 	for _, k := range core {
 		if k > kmax {
@@ -37,7 +39,7 @@ func main() {
 	fmt.Printf("coreness computed for all vertices; kmax = %d\n", kmax)
 
 	// A 2(1+eps)-approximate densest subgraph.
-	dens := e.MustApproxDensestSubgraph(g)
+	dens := must(run.ApproxDensestSubgraph(ctx, g))
 	members := 0
 	for _, in := range dens.InSub {
 		if in {
@@ -58,4 +60,12 @@ func maxDegree(g *sage.Graph) uint32 {
 		}
 	}
 	return d
+}
+
+// must panics on an error; a background context never cancels a run.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

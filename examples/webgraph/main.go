@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"sage"
@@ -19,8 +20,9 @@ func main() {
 		float64(raw.SizeWords())/float64(g.SizeWords()))
 
 	e := sage.NewEngine(sage.WithMode(sage.AppDirect), sage.WithFilterBlockSize(64))
+	run, ctx := e.NewRun(), context.Background()
 
-	labels := e.MustConnectivity(g)
+	labels := must(run.Connectivity(ctx, g))
 	comps := map[uint32]int{}
 	for _, l := range labels {
 		comps[l]++
@@ -34,7 +36,10 @@ func main() {
 	fmt.Printf("connectivity: %d components; largest holds %.1f%% of vertices\n",
 		len(comps), 100*float64(largest)/float64(g.NumVertices()))
 
-	ranks, iters := e.MustPageRank(g, 1e-6, 100)
+	ranks, iters, err := run.PageRank(ctx, g, 1e-6, 100)
+	if err != nil {
+		panic(err)
+	}
 	best, bestRank := uint32(0), 0.0
 	for v, r := range ranks {
 		if r > bestRank {
@@ -44,9 +49,17 @@ func main() {
 	fmt.Printf("pagerank: converged in %d iterations; top vertex %d (rank %.2e, degree %d)\n",
 		iters, best, bestRank, g.Degree(best))
 
-	spanner := e.MustSpanner(g, 0)
+	spanner := must(run.Spanner(ctx, g, 0))
 	fmt.Printf("O(log n)-spanner: %d edges (%.2f x n) preserving distances within O(log n)\n",
 		len(spanner), float64(len(spanner))/float64(g.NumVertices()))
 
 	fmt.Println("PSAM stats:", e.Stats())
+}
+
+// must panics on an error; a background context never cancels a run.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

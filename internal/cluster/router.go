@@ -28,7 +28,7 @@ package cluster
 // the router relays those 429s — Retry-After and all — untouched.
 
 import (
-	"container/list"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sage/internal/lru"
 	"sage/internal/numa"
 	"sage/internal/server"
 )
@@ -87,7 +88,7 @@ type Router struct {
 	replication int
 	backoff     time.Duration
 	probeEvery  time.Duration
-	cache       *routerCache
+	cache       *lru.Cache[routerEntry]
 	gens        genTable
 	mux         *http.ServeMux
 	started     time.Time
@@ -153,7 +154,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		replication: replication,
 		backoff:     backoff,
 		probeEvery:  probeEvery,
-		cache:       newRouterCache(cfg.CacheEntries, cfg.CacheBytes),
+		cache:       lru.New[routerEntry](cfg.CacheEntries, cfg.CacheBytes),
 		gens:        genTable{m: map[string]uint64{}},
 		mux:         http.NewServeMux(),
 		started:     time.Now(),
@@ -250,7 +251,11 @@ const RoutedToHeader = "X-Sage-Routed-To"
 // unreachable or cut the connection); HTTP-level errors come back as
 // responses.
 func (rt *Router) doPeer(ctx context.Context, ps *peerState, method, pathAndQuery string, body []byte, extra http.Header) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, method, ps.url+pathAndQuery, bytesReader(body))
+	var rd io.Reader = http.NoBody
+	if len(body) > 0 {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, ps.url+pathAndQuery, rd)
 	if err != nil {
 		return nil, err
 	}
@@ -263,31 +268,6 @@ func (rt *Router) doPeer(ctx context.Context, ps *peerState, method, pathAndQuer
 		}
 	}
 	return rt.client.Do(req)
-}
-
-// bytesReader avoids importing bytes just for one constructor while
-// keeping a nil body truly empty.
-func bytesReader(b []byte) io.Reader {
-	if len(b) == 0 {
-		return http.NoBody
-	}
-	return io.LimitReader(readerOf(b), int64(len(b)))
-}
-
-type byteSliceReader struct {
-	b []byte
-	i int
-}
-
-func readerOf(b []byte) *byteSliceReader { return &byteSliceReader{b: b} }
-
-func (r *byteSliceReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
 }
 
 // relay copies resp to w verbatim — status, headers (minus hop-by-hop),
@@ -513,7 +493,8 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := ds + "\x00" + pathAndQuery + "\x00" + string(body)
-	if e, ok := rt.cache.get(key, rt.gens.current(ds)); ok {
+	floor := rt.gens.current(ds)
+	if e, ok := rt.cache.Get(key, func(e routerEntry) bool { return e.gen >= floor }); ok {
 		// A router-cache hit mirrors a replica-cache hit: same body bytes
 		// the replica produced, model and prediction headers, no actuals
 		// (nothing executed).
@@ -556,13 +537,13 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 		if capture && respBody != nil {
 			if gen, err := strconv.ParseUint(resp.Header.Get(server.GenerationHeader), 10, 64); err == nil {
 				rt.gens.observe(ds, gen)
-				rt.cache.put(key, &routerEntry{
+				rt.cache.Put(key, routerEntry{
 					gen:           gen,
 					body:          respBody,
 					contentType:   resp.Header.Get("Content-Type"),
 					costModel:     resp.Header.Get("X-Sage-Cost-Model"),
 					costPredicted: resp.Header.Get("X-Sage-Cost-Predicted"),
-				})
+				}, int64(len(respBody)))
 			}
 		}
 		return
@@ -715,7 +696,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"read_failovers":      rt.readFailovers.Load(),
 		"write_fanout_errors": rt.writeFanoutErrors.Load(),
 		"no_replica_errors":   rt.noReplicaErrors.Load(),
-		"router_cache":        rt.cache.snapshot(),
+		"router_cache":        cacheMetrics(rt.cache),
 		"generations_tracked": rt.gens.size(),
 		"peers":               rt.peers.info(),
 	})
@@ -727,9 +708,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // routerEntry is one cached run response: the replica-produced body and
 // the headers a cache hit re-serves, valid only while gen is still the
-// dataset's latest known generation.
+// dataset's latest known generation (older entries are stale and dropped
+// on sight).
 type routerEntry struct {
-	key           string
 	gen           uint64
 	body          []byte
 	contentType   string
@@ -737,104 +718,18 @@ type routerEntry struct {
 	costPredicted string
 }
 
-func (e *routerEntry) size() int64 { return int64(len(e.body) + len(e.key)) }
-
-// routerCache is an LRU of proxied run responses, bounded by entries and
-// bytes, mirroring the replica-side result cache's shape. A nil cache is
-// valid and always misses.
-type routerCache struct {
-	mu       sync.Mutex
-	max      int
-	maxBytes int64
-	bytes    int64
-	ll       *list.List
-	byKey    map[string]*list.Element
-	hits     atomic.Int64
-	misses   atomic.Int64
-	stale    atomic.Int64
-}
-
-func newRouterCache(max int, maxBytes int64) *routerCache {
-	if max <= 0 {
-		return nil
-	}
-	if maxBytes <= 0 {
-		maxBytes = 64 << 20
-	}
-	return &routerCache{max: max, maxBytes: maxBytes, ll: list.New(), byKey: map[string]*list.Element{}}
-}
-
-// get returns the entry for key if it exists at generation floor
-// (entries behind the dataset's latest known generation are stale and
-// dropped on sight).
-func (c *routerCache) get(key string, floor uint64) (*routerEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, found := c.byKey[key]
-	if !found {
-		c.misses.Add(1)
-		return nil, false
-	}
-	e := el.Value.(*routerEntry)
-	if e.gen < floor {
-		c.stale.Add(1)
-		c.misses.Add(1)
-		c.removeLocked(el)
-		return nil, false
-	}
-	c.hits.Add(1)
-	c.ll.MoveToFront(el)
-	return e, true
-}
-
-func (c *routerCache) put(key string, e *routerEntry) {
-	if c == nil {
-		return
-	}
-	e.key = key
-	if e.size() > c.maxBytes/4 {
-		return // one giant answer must not wipe the cache
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, dup := c.byKey[key]; dup {
-		c.removeLocked(el)
-	}
-	el := c.ll.PushFront(e)
-	c.byKey[key] = el
-	c.bytes += e.size()
-	for c.ll.Len() > c.max || c.bytes > c.maxBytes {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-	}
-}
-
-func (c *routerCache) removeLocked(el *list.Element) {
-	e := el.Value.(*routerEntry)
-	c.ll.Remove(el)
-	delete(c.byKey, e.key)
-	c.bytes -= e.size()
-}
-
-// snapshot reports cache counters for /metrics (nil when disabled).
-func (c *routerCache) snapshot() map[string]int64 {
+// cacheMetrics reports the router cache's counters for /metrics (nil
+// when disabled).
+func cacheMetrics(c *lru.Cache[routerEntry]) map[string]int64 {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	entries, bytes := int64(c.ll.Len()), c.bytes
-	c.mu.Unlock()
+	st := c.Stats()
 	return map[string]int64{
-		"entries": entries,
-		"bytes":   bytes,
-		"hits":    c.hits.Load(),
-		"misses":  c.misses.Load(),
-		"stale":   c.stale.Load(),
+		"entries": int64(st.Entries),
+		"bytes":   st.Bytes,
+		"hits":    st.Hits,
+		"misses":  st.Misses,
+		"stale":   st.Stale,
 	}
 }

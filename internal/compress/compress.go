@@ -194,10 +194,6 @@ func (c *CGraph) region(v uint32) []byte {
 	return c.data[c.vtxOff[v]:c.vtxOff[v+1]]
 }
 
-// DecodedEdges is a decode-work counter: IterRange and DecodeBlockInto add
-// the number of edges physically decoded (Table 4's "total work" column is
-// accumulated by the caller from the return values below).
-
 // IterRange implements graph.Adj. Because blocks decode sequentially,
 // positions before lo inside the first block are decoded and skipped — the
 // cost behaviour Appendix D.1 studies.
@@ -260,18 +256,6 @@ func (c *CGraph) decodeBlock(v, b uint32, region []byte, fn func(i, ngh uint32, 
 		}
 	}
 	return true
-}
-
-// DecodeBlockInto decodes the full compression block b of vertex v into
-// buf and returns the neighbor slice. The graph filter uses it to fetch
-// the edges behind a filter block (§4.2.3: "we immediately decompress the
-// entire block and store it locally").
-func (c *CGraph) DecodeBlockInto(v, b uint32, buf []uint32) []uint32 {
-	if b >= c.numBlocks(v) {
-		return buf[:0]
-	}
-	lo := b * c.blockSize
-	return c.DecodeRange(v, lo, lo+c.blockSize, buf)
 }
 
 // SizeWords reports the simulated NVRAM footprint in words.

@@ -127,30 +127,6 @@ func TestCompressEarlyExit(t *testing.T) {
 	}
 }
 
-func TestDecodeBlockInto(t *testing.T) {
-	g := gen.RMAT(8, 16, 3)
-	c := Compress(g, 64)
-	buf := make([]uint32, 0, 64)
-	for v := uint32(0); v < g.NumVertices(); v++ {
-		deg := g.Degree(v)
-		nb := (deg + 63) / 64
-		var all []uint32
-		for b := uint32(0); b < nb; b++ {
-			blk := c.DecodeBlockInto(v, b, buf)
-			all = append(all, blk...)
-		}
-		want := g.Neighbors(v)
-		if len(all) != len(want) {
-			t.Fatalf("v=%d: %d vs %d", v, len(all), len(want))
-		}
-		for i := range want {
-			if all[i] != want[i] {
-				t.Fatalf("v=%d[%d]", v, i)
-			}
-		}
-	}
-}
-
 func TestScanCostBlockAligned(t *testing.T) {
 	g := gen.Star(200) // center degree 199, 4 blocks at bs=64
 	c := Compress(g, 64)

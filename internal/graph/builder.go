@@ -108,40 +108,3 @@ func fromSortedEdges(n uint32, edges []Edge, weights []int32) *Graph {
 	g := &Graph{n: n, m: m, offsets: counts, edges: flat, weights: weights}
 	return g
 }
-
-// FromAdjacency builds a graph directly from per-vertex sorted adjacency
-// lists. Used by tests and by contraction when the lists are already
-// deduplicated.
-func FromAdjacency(adj [][]uint32) *Graph {
-	n := uint32(len(adj))
-	offsets := make([]uint64, n+1)
-	for v := uint32(0); v < n; v++ {
-		offsets[v+1] = offsets[v] + uint64(len(adj[v]))
-	}
-	m := offsets[n]
-	edges := make([]uint32, m)
-	parallel.For(int(n), 16, func(i int) {
-		copy(edges[offsets[i]:], adj[i])
-	})
-	return &Graph{n: n, m: m, offsets: offsets, edges: edges}
-}
-
-// InducedDegrees computes, for every vertex, its degree restricted to
-// neighbors accepted by keep. Used by tests as an oracle.
-func (g *Graph) InducedDegrees(keep func(uint32) bool) []uint32 {
-	deg := make([]uint32, g.n)
-	parallel.For(int(g.n), 64, func(i int) {
-		v := uint32(i)
-		if !keep(v) {
-			return
-		}
-		var d uint32
-		for _, u := range g.Neighbors(v) {
-			if keep(u) {
-				d++
-			}
-		}
-		deg[v] = d
-	})
-	return deg
-}

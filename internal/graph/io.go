@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // Legacy (v1) binary serialization of CSR graphs: a little-endian header
@@ -103,29 +102,6 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// SaveFile writes the graph to path in the binary format.
-func (g *Graph) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := g.WriteBinary(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a binary graph from path.
-func LoadFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
 }
 
 // remainingSize reports how many bytes remain in r when that is

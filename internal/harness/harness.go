@@ -14,7 +14,6 @@ import (
 
 	"sage/internal/algos"
 	"sage/internal/galois"
-	"sage/internal/gbbs"
 	"sage/internal/gen"
 	"sage/internal/graph"
 	"sage/internal/psam"
@@ -214,13 +213,7 @@ func (c Config) run(p Problem, w *Workload) (int64, time.Duration) {
 		}
 		env.WithCache(g.SizeWords() / div)
 	}
-	var o *algos.Options
-	if c.Mutating {
-		o = gbbs.Options(env)
-	} else {
-		o = algos.Defaults().WithEnv(env)
-	}
-	o.Traverse.Strategy = c.Strategy
+	o := optionsFor(c, env)
 	start := time.Now()
 	p.Run(o, w, g)
 	return env.Cost(), time.Since(start)

@@ -76,39 +76,6 @@ func PackIndex(n int, pred func(i int) bool) []uint32 {
 	return out
 }
 
-// PackInto writes the elements satisfying pred into dst (which must be
-// large enough) and returns the number written. It avoids allocation for
-// callers that reuse buffers.
-func PackInto[T any](dst, a []T, pred func(T) bool) int {
-	n := len(a)
-	if n == 0 {
-		return 0
-	}
-	grain := DefaultGrain
-	nBlocks := ceilDiv(n, grain)
-	counts := make([]int, nBlocks)
-	ForBlocks(n, grain, func(_, lo, hi int) {
-		c := 0
-		for i := lo; i < hi; i++ {
-			if pred(a[i]) {
-				c++
-			}
-		}
-		counts[lo/grain] = c
-	})
-	total := Scan(counts)
-	ForBlocks(n, grain, func(_, lo, hi int) {
-		o := counts[lo/grain]
-		for i := lo; i < hi; i++ {
-			if pred(a[i]) {
-				dst[o] = a[i]
-				o++
-			}
-		}
-	})
-	return total
-}
-
 // Map applies f to every element of a in parallel, returning a new slice.
 func Map[T, U any](a []T, f func(T) U) []U {
 	out := make([]U, len(a))

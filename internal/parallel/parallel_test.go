@@ -89,28 +89,6 @@ func TestScanMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestScanInclusive(t *testing.T) {
-	for _, n := range []int{0, 1, 3000, 50_000} {
-		a := make([]int64, n)
-		want := make([]int64, n)
-		var acc int64
-		for i := range a {
-			a[i] = int64(i % 7)
-			acc += a[i]
-			want[i] = acc
-		}
-		total := ScanInclusive(a)
-		if total != acc {
-			t.Fatalf("n=%d total %d want %d", n, total, acc)
-		}
-		for i := range a {
-			if a[i] != want[i] {
-				t.Fatalf("n=%d inc[%d]=%d want %d", n, i, a[i], want[i])
-			}
-		}
-	}
-}
-
 func TestScanProperty(t *testing.T) {
 	f := func(vals []int32) bool {
 		a := make([]int64, len(vals))
@@ -200,21 +178,6 @@ func TestPackIndex(t *testing.T) {
 	}
 }
 
-func TestPackInto(t *testing.T) {
-	a := []int{5, 2, 9, 4, 7, 6}
-	dst := make([]int, len(a))
-	k := PackInto(dst, a, func(v int) bool { return v > 4 })
-	want := []int{5, 9, 7, 6}
-	if k != len(want) {
-		t.Fatalf("k=%d", k)
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("dst=%v", dst[:k])
-		}
-	}
-}
-
 func TestSortRandom(t *testing.T) {
 	r := rand.New(rand.NewPCG(1, 2))
 	for _, n := range []int{0, 1, 2, 100, 5000, 200_000} {
@@ -230,10 +193,10 @@ func TestSortRandom(t *testing.T) {
 }
 
 func TestSortProperty(t *testing.T) {
-	f := func(vals []uint64) bool {
-		a := append([]uint64(nil), vals...)
-		SortUint64(a)
-		ref := append([]uint64(nil), vals...)
+	f := func(vals []uint32) bool {
+		a := append([]uint32(nil), vals...)
+		SortUint32(a)
+		ref := append([]uint32(nil), vals...)
 		sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
 		for i := range a {
 			if a[i] != ref[i] {

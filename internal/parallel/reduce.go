@@ -94,48 +94,6 @@ func Scan[T Number](a []T) T {
 	return total
 }
 
-// ScanInclusive replaces a with its inclusive prefix sum and returns the
-// total.
-func ScanInclusive[T Number](a []T) T {
-	n := len(a)
-	if n == 0 {
-		var zero T
-		return zero
-	}
-	grain := DefaultGrain
-	if n <= 2*grain || Workers() == 1 {
-		var acc T
-		for i := 0; i < n; i++ {
-			acc += a[i]
-			a[i] = acc
-		}
-		return acc
-	}
-	nBlocks := ceilDiv(n, grain)
-	sums := make([]T, nBlocks)
-	ForBlocks(n, grain, func(_, lo, hi int) {
-		var acc T
-		for i := lo; i < hi; i++ {
-			acc += a[i]
-		}
-		sums[lo/grain] = acc
-	})
-	var total T
-	for b := 0; b < nBlocks; b++ {
-		s := sums[b]
-		sums[b] = total
-		total += s
-	}
-	ForBlocks(n, grain, func(_, lo, hi int) {
-		acc := sums[lo/grain]
-		for i := lo; i < hi; i++ {
-			acc += a[i]
-			a[i] = acc
-		}
-	})
-	return total
-}
-
 // Count returns the number of i in [0, n) for which pred(i) is true.
 func Count(n, grain int, pred func(i int) bool) int {
 	return ReduceSum(n, grain, func(i int) int {

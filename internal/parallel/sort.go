@@ -49,11 +49,6 @@ func SortUint32(a []uint32) {
 	Sort(a, func(x, y uint32) bool { return x < y })
 }
 
-// SortUint64 sorts a slice of uint64 keys in parallel.
-func SortUint64(a []uint64) {
-	Sort(a, func(x, y uint64) bool { return x < y })
-}
-
 // MergeInto merges the sorted slices x and y into out, which must have
 // length len(x)+len(y). Large merges are split recursively by a median
 // pick so the merge itself runs in parallel.

@@ -6,7 +6,7 @@ package server
 // must hold if one ever does: a value JSON cannot carry has to surface
 // as an error status, never as a 200 with an empty body (and handleRun
 // additionally refuses to cache such a response; see the marshal check
-// preceding results.put).
+// preceding results.Put).
 
 import (
 	"math"

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"sage"
+	"sage/internal/lru"
 )
 
 // Config configures New. The zero value serves with an AppDirect engine,
@@ -60,9 +61,9 @@ type Config struct {
 	// ResultCacheEntries sizes the result cache (0: default 256; < 0:
 	// disabled).
 	ResultCacheEntries int
-	// ResultCacheBytes caps the summed marshaled size of cached
-	// responses (0: default 64 MiB). Responses bigger than a quarter of
-	// the budget are never cached.
+	// ResultCacheBytes caps the summed size of cached entries, each its
+	// marshaled renderings plus its key (0: default 64 MiB). Entries
+	// bigger than a quarter of the budget are never cached.
 	ResultCacheBytes int64
 	// DeltaBudgetWords caps each dataset's update-overlay DRAM footprint
 	// in simulated words; a batch that would exceed it is rejected with
@@ -85,13 +86,28 @@ type Config struct {
 	Durability Durability
 }
 
+// resultEntry is one result-cache entry. Graph analytics answers are
+// immutable for a given (dataset generation, algorithm, arguments) triple
+// — the graph is read-only and every registry algorithm is deterministic
+// in the engine's fixed seed — so repeats are answered without
+// re-running. Keys embed the dataset's open generation, so an evicted and
+// reopened (possibly rewritten) file never serves stale answers, and
+// arguments are canonicalized first (sage.CanonicalArgs), so {"eps":0}
+// and {} hit the same entry. An entry retains only pre-marshaled bytes —
+// the full response and the value-less rendering served for ?value=false
+// — so the cache's byte budget covers everything the entry pins.
+type resultEntry struct {
+	body []byte // full response
+	slim []byte // value omitted
+}
+
 // Server is the sage-serve HTTP handler. Create with New, register
 // datasets with AddDataset, then serve it.
 type Server struct {
 	engine  *sage.Engine
 	catalog *catalog
 	adm     *admission
-	results *resultCache
+	results *lru.Cache[resultEntry]
 	updates *updates
 	maxRun  time.Duration
 	mux     *http.ServeMux
@@ -128,7 +144,7 @@ func New(cfg Config) *Server {
 		engine:  engine,
 		catalog: newCatalog(cfg.DatasetBudgetWords, cfg.CopyDatasets),
 		adm:     newAdmission(maxConc, cfg.DRAMBudgetWords, cfg.CostBudget, cfg.QueueWait),
-		results: newResultCache(cacheEntries, cfg.ResultCacheBytes),
+		results: lru.New[resultEntry](cacheEntries, cfg.ResultCacheBytes),
 		maxRun:  cfg.MaxRunDuration,
 		mux:     http.NewServeMux(),
 		started: time.Now(),
@@ -455,10 +471,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
 
 	key := fmt.Sprintf("%s@%d/%s?%+v", dsName, gen, algoName, canon)
-	if body, slim, ok := s.results.get(key); ok {
+	if e, ok := s.results.Get(key, nil); ok {
 		w.Header().Set("X-Sage-Cache", "hit")
+		body := e.body
 		if !includeValue {
-			body = slim
+			body = e.slim
 		}
 		writeJSONBytes(w, http.StatusOK, body)
 		return
@@ -547,7 +564,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.runsOK.Add(1)
-	s.results.put(key, body, slim)
+	s.results.Put(key, resultEntry{body: body, slim: slim}, int64(len(body)+len(slim)))
 	// The actual side of the cost contract: the run's measured counters
 	// priced under the same model that produced the prediction.
 	actual := s.engine.CostOfStats(res.Stats)
@@ -680,7 +697,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			"cancelled": s.runsCancelled.Load(),
 		},
 		"admission":    s.adm.snapshot(),
-		"result_cache": s.results.snapshot(),
+		"result_cache": s.results.Stats(),
 		"datasets":     s.catalog.cacheInfo(),
 		"updates":      s.updates.snapshot(),
 		"wal":          s.updates.walSnapshot(),

@@ -1,8 +1,7 @@
 package sage
 
-// The storage-aware dataset API. Open and Create replace the former
-// Load/LoadText/Save/SaveText scatter with a single pair of entry points
-// backed by a format registry (internal/store): the v2 binary container
+// The storage-aware dataset API. Open and Create are the single pair of
+// entry points for stored graphs, backed by a format registry (internal/store): the v2 binary container
 // (CSR or byte-compressed sections), the legacy v1 flat binary, Ligra
 // adjacency text, and whitespace edge lists. Reading sniffs the format
 // from magic bytes (falling back to the extension); writing picks it from

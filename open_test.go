@@ -45,9 +45,9 @@ func TestOpenMmapVsCopyEquivalence(t *testing.T) {
 	}
 	runOn := func(g *sage.Graph) run {
 		e := sage.NewEngine(sage.WithMode(sage.AppDirect), sage.WithSeed(7))
-		parents := e.MustBFS(g, 0)
+		parents := must(e.NewRun().BFS(bg, g, 0))(t)
 		e2 := sage.NewEngine(sage.WithMode(sage.AppDirect), sage.WithSeed(7))
-		e2.MustConnectivity(g)
+		must(e2.NewRun().Connectivity(bg, g))(t)
 		s := e.Stats()
 		s2 := e2.Stats()
 		return run{parents, statKey{
@@ -95,14 +95,14 @@ func TestOpenCompressedEquivalence(t *testing.T) {
 		t.Fatal("compressed graph reopened as CSR")
 	}
 	e := sage.NewEngine(sage.WithSeed(5))
-	a := e.MustBFS(cg, 0)
-	b := e.MustBFS(cg2, 0)
+	a := must(e.NewRun().BFS(bg, cg, 0))(t)
+	b := must(e.NewRun().BFS(bg, cg2, 0))(t)
 	for v := range a {
 		if a[v] != b[v] {
 			t.Fatalf("parent of %d differs after reopen", v)
 		}
 	}
-	if e.MustTriangleCount(cg).Count != e.MustTriangleCount(cg2).Count {
+	if must(e.NewRun().TriangleCount(bg, cg))(t).Count != must(e.NewRun().TriangleCount(bg, cg2))(t).Count {
 		t.Fatal("triangle count differs after reopen")
 	}
 }
@@ -160,7 +160,7 @@ func TestGraphCloseMisuse(t *testing.T) {
 	}
 	mustPanic("NumVertices", func() { g.NumVertices() })
 	mustPanic("Raw", func() { g.Raw() })
-	mustPanic("engine run", func() { sage.NewEngine().MustBFS(g, 0) })
+	mustPanic("engine run", func() { must(sage.NewEngine().NewRun().BFS(bg, g, 0))(t) })
 	mustPanic("Create", func() { sage.Create(filepath.Join(t.TempDir(), "x.sg"), g) })
 }
 
@@ -175,8 +175,8 @@ func TestErrCompressedUnified(t *testing.T) {
 		t.Fatalf("RelabelByDegree: %v", err)
 	}
 	dir := t.TempDir()
-	if err := cg.SaveText(filepath.Join(dir, "c.adj")); !errors.Is(err, sage.ErrCompressed) {
-		t.Fatalf("SaveText: %v", err)
+	if err := sage.Create(filepath.Join(dir, "c.adj"), cg, sage.As(sage.FormatAdj)); !errors.Is(err, sage.ErrCompressed) {
+		t.Fatalf("Create as adj: %v", err)
 	}
 	if err := sage.Create(filepath.Join(dir, "c.el"), cg); !errors.Is(err, sage.ErrCompressed) {
 		t.Fatalf("Create as edgelist: %v", err)
@@ -215,36 +215,33 @@ func TestOpenFormatOverrideAndListing(t *testing.T) {
 	if _, err := sage.Open(path, sage.WithFormat(sage.FormatBinary)); err == nil {
 		t.Fatal("edge list decoded as binary container")
 	}
-}
 
-// TestDeprecatedWrappers keeps Load/LoadText/Save/SaveText working on the
-// new machinery: Save now writes the v2 container, Load sniffs both
-// binary generations.
-func TestDeprecatedWrappers(t *testing.T) {
-	g := weighted(t, sage.GenerateGrid(6, 6, false), 9)
+	// Extensions the registry does not know round-trip through explicit
+	// formats: As picks the writer, sniffing or WithFormat the reader.
+	wg := weighted(t, sage.GenerateGrid(6, 6, false), 9)
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "g.dat")
-	if err := g.Save(bin); err != nil {
+	if err := sage.Create(bin, wg, sage.As(sage.FormatBinary)); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := sage.Load(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g2.Close()
-	if g2.NumEdges() != g.NumEdges() || !g2.Weighted() {
-		t.Fatal("binary wrapper round trip")
-	}
-	txt := filepath.Join(dir, "g.anything")
-	if err := g.SaveText(txt); err != nil {
-		t.Fatal(err)
-	}
-	g3, err := sage.LoadText(txt)
+	g3, err := sage.Open(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g3.Close()
-	if g3.NumEdges() != g.NumEdges() {
-		t.Fatal("text wrapper round trip")
+	if g3.NumEdges() != wg.NumEdges() || !g3.Weighted() {
+		t.Fatal("binary round trip")
+	}
+	txt := filepath.Join(dir, "g.anything")
+	if err := sage.Create(txt, wg, sage.As(sage.FormatAdj)); err != nil {
+		t.Fatal(err)
+	}
+	g4, err := sage.Open(txt, sage.WithFormat(sage.FormatAdj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g4.Close()
+	if g4.NumEdges() != wg.NumEdges() {
+		t.Fatal("text round trip")
 	}
 }

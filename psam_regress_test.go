@@ -90,7 +90,7 @@ func TestPSAMStatsRegression(t *testing.T) {
 					t.Errorf("%s: stats drifted:\n got  %+v\n want %+v", name, got, want)
 				}
 			}
-			run("bfs", func() { e.MustBFS(g, 0) })
+			run("bfs", func() { must(e.NewRun().BFS(bg, g, 0))(t) })
 			run("pagerankiter", func() {
 				n := int(g.NumVertices())
 				prev := make([]float64, n)
@@ -98,10 +98,10 @@ func TestPSAMStatsRegression(t *testing.T) {
 				for i := range prev {
 					prev[i] = 1 / float64(n)
 				}
-				e.MustPageRankIter(g, prev, next)
+				must(e.NewRun().PageRankIter(bg, g, prev, next))(t)
 			})
-			run("connectivity", func() { e.MustConnectivity(g) })
-			run("kcore", func() { e.MustKCore(g) })
+			run("connectivity", func() { must(e.NewRun().Connectivity(bg, g))(t) })
+			run("kcore", func() { must(e.NewRun().KCore(bg, g))(t) })
 		}
 	}
 }

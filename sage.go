@@ -14,16 +14,16 @@
 //
 //	g := sage.GenerateRMAT(18, 16, 1)
 //	e := sage.NewEngine(sage.WithMode(sage.AppDirect))
-//	parents := e.MustBFS(g, 0)
+//	parents, err := e.NewRun().BFS(ctx, g, 0)
 //	fmt.Println(e.Stats())
 //
-// Engines are immutable and goroutine-safe: every call executes as its
-// own Run with private PSAM counters merged into the engine aggregate on
-// completion, so concurrent calls on one engine are correct by
-// construction. The context-aware forms (e.BFS(ctx, g, 0)) cancel at
+// Engines are immutable and goroutine-safe: every call executes in a Run
+// with private PSAM counters merged into the engine aggregate on
+// completion, so concurrent runs on one engine are correct by
+// construction. The typed Run methods (run.BFS(ctx, g, 0)) cancel at
 // frontier/iteration boundaries and return ctx.Err(); sage.Algorithms
-// enumerates the registry behind the typed methods, invokable by name
-// through Engine.RunAlgorithm.
+// enumerates the registry behind them, invokable by name through
+// Engine.RunAlgorithm.
 //
 // Stored graphs are handled by Open and Create (see open.go): a format
 // registry sniffs binary containers and text formats, and binary files
@@ -41,7 +41,7 @@
 // Compact folds the delta into a fresh container file:
 //
 //	snap, err := g.Snapshot().ApplyBatch([]sage.EdgeOp{{U: 1, V: 2}})
-//	parents = e.MustBFS(snap.Graph(), 0)
+//	parents, err = e.NewRun().BFS(ctx, snap.Graph(), 0)
 package sage
 
 import (
@@ -212,19 +212,6 @@ func (g *Graph) Compress(blockSize int) *Graph {
 	return &Graph{adj: compress.Compress(g.raw, blockSize)}
 }
 
-// Load reads a stored graph.
-//
-// Deprecated: use Open, which sniffs the format (including the legacy
-// binary this function historically read) and memory-maps binary files.
-func Load(path string) (*Graph, error) { return Open(path) }
-
-// Save writes the graph in the v2 binary container.
-//
-// Deprecated: use Create, which also selects formats by extension.
-func (g *Graph) Save(path string) error {
-	return Create(path, g, As(FormatBinary))
-}
-
 // Raw exposes the underlying adjacency (for the experiment harness).
 func (g *Graph) Raw() graph.Adj { g.check(); return g.adj }
 
@@ -236,22 +223,6 @@ func SetWorkers(n int) { parallel.SetWorkers(n) }
 
 // Workers reports the current worker-pool size.
 func Workers() int { return parallel.Workers() }
-
-// LoadText reads a graph in the Ligra "AdjacencyGraph" /
-// "WeightedAdjacencyGraph" text format used by the paper's code base.
-//
-// Deprecated: use Open with WithFormat(FormatAdj) (or rely on sniffing).
-func LoadText(path string) (*Graph, error) {
-	return Open(path, WithFormat(FormatAdj))
-}
-
-// SaveText writes the graph in the Ligra text format. Compressed graphs
-// return ErrCompressed.
-//
-// Deprecated: use Create with As(FormatAdj).
-func (g *Graph) SaveText(path string) error {
-	return Create(path, g, As(FormatAdj))
-}
 
 // RelabelByDegree returns a copy of the graph renumbered hubs-first — the
 // ordering knob whose effect on triangle counting Appendix D.1 studies.

@@ -1,11 +1,27 @@
 package sage_test
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
 	"sage"
 )
+
+// bg is the context of test runs that are never cancelled.
+var bg = context.Background()
+
+// must returns a run's result, failing the test passed to the returned
+// function on an error: parents := must(e.NewRun().BFS(bg, g, 0))(t).
+func must[T any](v T, err error) func(testing.TB) T {
+	return func(t testing.TB) T {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return v
+	}
+}
 
 // weighted attaches uniform weights, failing the test on misuse (the
 // call sites all hold CSR graphs, so the error path never fires here).
@@ -24,7 +40,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("n=%d", g.NumVertices())
 	}
 	e := sage.NewEngine(sage.WithMode(sage.AppDirect))
-	parents := e.MustBFS(g, 0)
+	parents := must(e.NewRun().BFS(bg, g, 0))(t)
 	if parents[0] != 0 {
 		t.Fatal("source not its own parent")
 	}
@@ -46,58 +62,58 @@ func TestPublicAPIAllAlgorithms(t *testing.T) {
 	wg := weighted(t, g, 3)
 	e := sage.NewEngine()
 
-	if got := e.MustBFS(g, 0); len(got) != int(g.NumVertices()) {
+	if got := must(e.NewRun().BFS(bg, g, 0))(t); len(got) != int(g.NumVertices()) {
 		t.Fatal("bfs")
 	}
-	if got := e.MustWBFS(wg, 0); got[0] != 0 {
+	if got := must(e.NewRun().WBFS(bg, wg, 0))(t); got[0] != 0 {
 		t.Fatal("wbfs")
 	}
-	if got := e.MustBellmanFord(wg, 0); got[0] != 0 {
+	if got := must(e.NewRun().BellmanFord(bg, wg, 0))(t); got[0] != 0 {
 		t.Fatal("bellman-ford")
 	}
-	if got := e.MustWidestPath(wg, 0); len(got) == 0 {
+	if got := must(e.NewRun().WidestPath(bg, wg, 0))(t); len(got) == 0 {
 		t.Fatal("widest")
 	}
-	if got := e.MustWidestPathBucketed(wg, 0); len(got) == 0 {
+	if got := must(e.NewRun().WidestPathBucketed(bg, wg, 0))(t); len(got) == 0 {
 		t.Fatal("widest bucketed")
 	}
-	if got := e.MustBetweenness(g, 0); got[0] != 0 {
+	if got := must(e.NewRun().Betweenness(bg, g, 0))(t); got[0] != 0 {
 		t.Fatal("betweenness source dependency must be 0")
 	}
-	if got := e.MustSpanner(g, 4); len(got) == 0 {
+	if got := must(e.NewRun().Spanner(bg, g, 4))(t); len(got) == 0 {
 		t.Fatal("spanner")
 	}
-	if got := e.MustLDD(g, 0.2); len(got.Cluster) == 0 {
+	if got := must(e.NewRun().LDD(bg, g, 0.2))(t); len(got.Cluster) == 0 {
 		t.Fatal("ldd")
 	}
-	if got := e.MustConnectivity(g); len(got) == 0 {
+	if got := must(e.NewRun().Connectivity(bg, g))(t); len(got) == 0 {
 		t.Fatal("connectivity")
 	}
-	if got := e.MustSpanningForest(g); len(got) == 0 {
+	if got := must(e.NewRun().SpanningForest(bg, g))(t); len(got) == 0 {
 		t.Fatal("forest")
 	}
-	if got := e.MustBiconnectivity(g); len(got.Label) == 0 {
+	if got := must(e.NewRun().Biconnectivity(bg, g))(t); len(got.Label) == 0 {
 		t.Fatal("biconnectivity")
 	}
-	if got := e.MustMIS(g); len(got) == 0 {
+	if got := must(e.NewRun().MIS(bg, g))(t); len(got) == 0 {
 		t.Fatal("mis")
 	}
-	if got := e.MustMaximalMatching(g); len(got) == 0 {
+	if got := must(e.NewRun().MaximalMatching(bg, g))(t); len(got) == 0 {
 		t.Fatal("matching")
 	}
-	if got := e.MustColoring(g); len(got) == 0 {
+	if got := must(e.NewRun().Coloring(bg, g))(t); len(got) == 0 {
 		t.Fatal("coloring")
 	}
-	if got := e.MustKCore(g); len(got) == 0 {
+	if got := must(e.NewRun().KCore(bg, g))(t); len(got) == 0 {
 		t.Fatal("kcore")
 	}
-	if got := e.MustApproxDensestSubgraph(g); got.Density <= 0 {
+	if got := must(e.NewRun().ApproxDensestSubgraph(bg, g))(t); got.Density <= 0 {
 		t.Fatal("densest")
 	}
-	if got := e.MustTriangleCount(g); got.Count < 0 {
+	if got := must(e.NewRun().TriangleCount(bg, g))(t); got.Count < 0 {
 		t.Fatal("triangles")
 	}
-	if ranks, iters := e.MustPageRank(g, 1e-6, 50); len(ranks) == 0 || iters == 0 {
+	if ranks, iters, err := e.NewRun().PageRank(bg, g, 1e-6, 50); err != nil || len(ranks) == 0 || iters == 0 {
 		t.Fatal("pagerank")
 	}
 }
@@ -110,15 +126,15 @@ func TestPublicAPICompressedParity(t *testing.T) {
 	}
 	e1 := sage.NewEngine()
 	e2 := sage.NewEngine()
-	a := e1.MustConnectivity(g)
-	b := e2.MustConnectivity(cg)
+	a := must(e1.NewRun().Connectivity(bg, g))(t)
+	b := must(e2.NewRun().Connectivity(bg, cg))(t)
 	for v := range a {
 		if (a[v] == a[0]) != (b[v] == b[0]) {
 			t.Fatal("compressed connectivity differs")
 		}
 	}
-	t1 := e1.MustTriangleCount(g).Count
-	t2 := sage.NewEngine(sage.WithFilterBlockSize(64)).MustTriangleCount(cg).Count
+	t1 := must(e1.NewRun().TriangleCount(bg, g))(t).Count
+	t2 := must(sage.NewEngine(sage.WithFilterBlockSize(64)).NewRun().TriangleCount(bg, cg))(t).Count
 	if t1 != t2 {
 		t.Fatalf("triangle counts differ: %d vs %d", t1, t2)
 	}
@@ -127,10 +143,10 @@ func TestPublicAPICompressedParity(t *testing.T) {
 func TestPublicAPISaveLoad(t *testing.T) {
 	g := weighted(t, sage.GenerateGrid(16, 16, false), 5)
 	path := filepath.Join(t.TempDir(), "g.sg")
-	if err := g.Save(path); err != nil {
+	if err := sage.Create(path, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := sage.Load(path)
+	g2, err := sage.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +154,8 @@ func TestPublicAPISaveLoad(t *testing.T) {
 		t.Fatal("round trip mismatch")
 	}
 	e := sage.NewEngine()
-	d1 := e.MustWBFS(g, 0)
-	d2 := e.MustWBFS(g2, 0)
+	d1 := must(e.NewRun().WBFS(bg, g, 0))(t)
+	d2 := must(e.NewRun().WBFS(bg, g2, 0))(t)
 	for v := range d1 {
 		if d1[v] != d2[v] {
 			t.Fatal("distances differ after reload")
@@ -154,7 +170,7 @@ func TestPublicAPIFromEdges(t *testing.T) {
 	}
 	wg := sage.FromWeightedEdges(3, []sage.WeightedEdge{{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 2}})
 	e := sage.NewEngine()
-	d := e.MustWBFS(wg, 0)
+	d := must(e.NewRun().WBFS(bg, wg, 0))(t)
 	if d[2] != 7 {
 		t.Fatalf("dist=%d want 7", d[2])
 	}
@@ -168,7 +184,7 @@ func TestEngineModes(t *testing.T) {
 			opts = append(opts, sage.WithCache(g.SizeWords()/4))
 		}
 		e := sage.NewEngine(opts...)
-		labels := e.MustConnectivity(g)
+		labels := must(e.NewRun().Connectivity(bg, g))(t)
 		if len(labels) != int(g.NumVertices()) {
 			t.Fatalf("mode %v: bad result", mode)
 		}
@@ -199,7 +215,7 @@ func TestWorkersControl(t *testing.T) {
 	}
 	g := sage.GenerateRMAT(8, 8, 7)
 	e := sage.NewEngine()
-	if got := e.MustBFS(g, 0); len(got) != int(g.NumVertices()) {
+	if got := must(e.NewRun().BFS(bg, g, 0))(t); len(got) != int(g.NumVertices()) {
 		t.Fatal("bfs under 2 workers")
 	}
 }
@@ -208,8 +224,8 @@ func TestCostModelOption(t *testing.T) {
 	g := sage.GenerateRMAT(9, 8, 8)
 	e1 := sage.NewEngine(sage.WithCostModel(1, 12))
 	e2 := sage.NewEngine(sage.WithCostModel(3, 12))
-	e1.MustBFS(g, 0)
-	e2.MustBFS(g, 0)
+	must(e1.NewRun().BFS(bg, g, 0))(t)
+	must(e2.NewRun().BFS(bg, g, 0))(t)
 	if e2.Stats().PSAMCost <= e1.Stats().PSAMCost {
 		t.Fatal("raising the read cost must raise the cost")
 	}
@@ -218,10 +234,10 @@ func TestCostModelOption(t *testing.T) {
 func TestPublicAPITextFormat(t *testing.T) {
 	g := sage.GenerateGrid(8, 8, false)
 	path := filepath.Join(t.TempDir(), "g.adj")
-	if err := g.SaveText(path); err != nil {
+	if err := sage.Create(path, g, sage.As(sage.FormatAdj)); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := sage.LoadText(path)
+	g2, err := sage.Open(path, sage.WithFormat(sage.FormatAdj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +267,7 @@ func TestPublicAPIRelabelByDegree(t *testing.T) {
 	}
 	// Analytics agree across the relabeling.
 	e := sage.NewEngine()
-	if e.MustTriangleCount(g).Count != e.MustTriangleCount(h).Count {
+	if must(e.NewRun().TriangleCount(bg, g))(t).Count != must(e.NewRun().TriangleCount(bg, h))(t).Count {
 		t.Fatal("triangle count changed under relabeling")
 	}
 }
@@ -259,7 +275,7 @@ func TestPublicAPIRelabelByDegree(t *testing.T) {
 func TestPublicAPILocalCluster(t *testing.T) {
 	g := sage.GeneratePowerLaw(1<<10, 6, 5)
 	e := sage.NewEngine()
-	res := e.MustLocalCluster(g, 0, 0.85, 100)
+	res := must(e.NewRun().LocalCluster(bg, g, 0, 0.85, 100))(t)
 	if len(res.Members) == 0 || res.Conductance <= 0 || res.Conductance > 1.01 {
 		t.Fatalf("cluster: %d members, conductance %.3f", len(res.Members), res.Conductance)
 	}
@@ -268,10 +284,13 @@ func TestPublicAPILocalCluster(t *testing.T) {
 func TestPublicAPIExtensions(t *testing.T) {
 	g := sage.GenerateRMAT(9, 8, 11)
 	e := sage.NewEngine()
-	if c3 := e.MustKCliqueCount(g, 3); c3 != e.MustTriangleCount(g).Count {
+	if c3 := must(e.NewRun().KCliqueCount(bg, g, 3))(t); c3 != must(e.NewRun().TriangleCount(bg, g))(t).Count {
 		t.Fatal("3-cliques != triangles")
 	}
-	ppr, _ := e.MustPersonalizedPageRank(g, 0, 0.85, 1e-9, 50)
+	ppr, _, err := e.NewRun().PersonalizedPageRank(bg, g, 0, 0.85, 1e-9, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mass float64
 	for _, r := range ppr {
 		mass += r
@@ -279,7 +298,7 @@ func TestPublicAPIExtensions(t *testing.T) {
 	if mass < 0.5 || mass > 1.001 {
 		t.Fatalf("ppr mass %.3f", mass)
 	}
-	res := e.MustKTruss(g)
+	res := must(e.NewRun().KTruss(bg, g))(t)
 	if len(res.Trussness) == 0 {
 		t.Fatal("empty truss output")
 	}
@@ -292,8 +311,8 @@ func TestPublicAPIWeightedCompression(t *testing.T) {
 		t.Fatal("weights lost in compression")
 	}
 	e := sage.NewEngine()
-	d1 := e.MustWBFS(g, 0)
-	d2 := e.MustWBFS(cg, 0)
+	d1 := must(e.NewRun().WBFS(bg, g, 0))(t)
+	d2 := must(e.NewRun().WBFS(bg, cg, 0))(t)
 	for v := range d1 {
 		if d1[v] != d2[v] {
 			t.Fatalf("weighted compressed distance differs at %d", v)
