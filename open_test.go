@@ -215,33 +215,37 @@ func TestOpenFormatOverrideAndListing(t *testing.T) {
 	if _, err := sage.Open(path, sage.WithFormat(sage.FormatBinary)); err == nil {
 		t.Fatal("edge list decoded as binary container")
 	}
+}
 
-	// Extensions the registry does not know round-trip through explicit
-	// formats: As picks the writer, sniffing or WithFormat the reader.
-	wg := weighted(t, sage.GenerateGrid(6, 6, false), 9)
+// TestDeprecatedWrappers keeps the round trips the removed Load/Save/
+// LoadText/SaveText wrappers offered working through Create and Open:
+// extensions the registry does not know round-trip through explicit
+// formats, As picking the writer and sniffing or WithFormat the reader.
+func TestDeprecatedWrappers(t *testing.T) {
+	g := weighted(t, sage.GenerateGrid(6, 6, false), 9)
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "g.dat")
-	if err := sage.Create(bin, wg, sage.As(sage.FormatBinary)); err != nil {
+	if err := sage.Create(bin, g, sage.As(sage.FormatBinary)); err != nil {
 		t.Fatal(err)
 	}
-	g3, err := sage.Open(bin)
+	g2, err := sage.Open(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Close()
+	if g2.NumEdges() != g.NumEdges() || !g2.Weighted() {
+		t.Fatal("binary round trip")
+	}
+	txt := filepath.Join(dir, "g.anything")
+	if err := sage.Create(txt, g, sage.As(sage.FormatAdj)); err != nil {
+		t.Fatal(err)
+	}
+	g3, err := sage.Open(txt, sage.WithFormat(sage.FormatAdj))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g3.Close()
-	if g3.NumEdges() != wg.NumEdges() || !g3.Weighted() {
-		t.Fatal("binary round trip")
-	}
-	txt := filepath.Join(dir, "g.anything")
-	if err := sage.Create(txt, wg, sage.As(sage.FormatAdj)); err != nil {
-		t.Fatal(err)
-	}
-	g4, err := sage.Open(txt, sage.WithFormat(sage.FormatAdj))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g4.Close()
-	if g4.NumEdges() != wg.NumEdges() {
+	if g3.NumEdges() != g.NumEdges() {
 		t.Fatal("text round trip")
 	}
 }
