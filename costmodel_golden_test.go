@@ -2,7 +2,7 @@ package sage_test
 
 // Golden tests for the pluggable hardware cost model: each built-in
 // profile's predicted cost over the PSAM regression workloads is pinned,
-// and the deprecated WithCostModel option is pinned equivalent to
+// and the WithCostModel option is pinned equivalent to
 // WithModel over the same profile constants. Any drift here is a pricing
 // change and must be deliberate.
 
@@ -146,7 +146,7 @@ func TestCostModelGoldenPredictions(t *testing.T) {
 	}
 }
 
-// TestWithCostModelEquivalence pins the deprecated WithCostModel option
+// TestWithCostModelEquivalence pins the WithCostModel option
 // to the WithModel path: explicit Optane constants must reproduce the
 // default profile's accounting exactly, and custom constants must price
 // the same counters on the custom scale.

@@ -66,15 +66,12 @@ func WithStrategy(s Strategy) Option {
 	return func(c *config) { c.strategy = s }
 }
 
-// WithCostModel overrides the simulated NVRAM read cost and write
-// multiplier ω. The default is the PSAM of §3 — reads unit cost, writes
-// NVRAMRead·ω = 12 DRAM accesses; pass (3, 4) to charge the raw Optane
-// device ratios instead for sensitivity studies.
-//
-// Deprecated: WithCostModel is the two-scalar ancestor of the profile
-// API and is kept as a wrapper over it — WithCostModel(r, ω) is exactly
-// WithModel of the Optane profile with those two fields overridden
-// (costmodel Custom). Use WithModel to select a full hardware profile.
+// WithCostModel selects a custom (read, ω) profile: the Optane profile
+// with the simulated NVRAM read cost and write multiplier ω overridden,
+// named "custom". It is the public constructor for such a profile;
+// WithModel selects a built-in one. The default is the PSAM of §3 —
+// reads unit cost, writes NVRAMRead·ω = 12 DRAM accesses; pass (3, 4) to
+// charge the raw Optane device ratios instead for sensitivity studies.
 func WithCostModel(nvramRead, omega int64) Option {
 	return WithModel(costmodel.Custom(nvramRead, omega))
 }

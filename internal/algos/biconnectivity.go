@@ -99,13 +99,13 @@ func Biconnectivity(g graph.Adj, o *Options) *BiconnResult {
 			v := uint32(i)
 			lo0, hi0 := pre[v], pre[v]
 			deg := g.Degree(v)
-			g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+			nghs, _ := g.Range(v, 0, deg, o.scratch(w))
+			for _, u := range nghs {
 				if parent[v] != u && parent[u] != v {
 					lo0 = min(lo0, pre[u])
 					hi0 = max(hi0, pre[u])
 				}
-				return true
-			})
+			}
 			scanned += int64(deg)
 			low[v], high[v] = lo0, hi0
 		}

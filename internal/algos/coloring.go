@@ -40,12 +40,12 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 			v := uint32(i)
 			var c int32
 			deg := g.Degree(v)
-			g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+			nghs, _ := g.Range(v, 0, deg, o.scratch(w))
+			for _, u := range nghs {
 				if earlier(u, v) {
 					c++
 				}
-				return true
-			})
+			}
 			scanned += int64(deg)
 			count[i] = c
 		}
@@ -63,12 +63,12 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 			// Smallest color not used by colored neighbors: a local
 			// palette of deg+1 booleans suffices.
 			palette := make([]bool, deg+1)
-			g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+			nghs, _ := g.Range(v, 0, deg, o.scratch(w))
+			for _, u := range nghs {
 				if c := atomic.LoadUint32(&color[u]); c <= deg {
 					palette[c] = true
 				}
-				return true
-			})
+			}
 			c := uint32(0)
 			for c <= deg && palette[c] {
 				c++
@@ -76,12 +76,11 @@ func Coloring(g graph.Adj, o *Options) []uint32 {
 			atomic.StoreUint32(&color[v], c)
 			o.Env.StateWrite(w, int64(deg)+2)
 			// Release later neighbors.
-			g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+			for _, u := range nghs {
 				if earlier(v, u) && parallel.FetchAddInt32(&count[u], -1) == 0 {
 					nextCand[w] = append(nextCand[w], u)
 				}
-				return true
-			})
+			}
 		})
 		roots = parallel.FlattenUint32(nextCand)
 	}

@@ -61,12 +61,12 @@ func LocalCluster(g graph.Adj, o *Options, seed uint32, damping float64, maxSize
 		// Adding v: edges to current members stop being cut; the rest
 		// start.
 		var toS int64
-		g.IterRange(v, 0, g.Degree(v), func(_, u uint32, _ int32) bool {
+		nghs, _ := g.Range(v, 0, g.Degree(v), o.scratch(0))
+		for _, u := range nghs {
 			if inS[u] {
 				toS++
 			}
-			return true
-		})
+		}
 		o.Env.GraphRead(0, g.EdgeAddr(v), g.ScanCost(v, 0, g.Degree(v)))
 		inS[v] = true
 		vol += deg

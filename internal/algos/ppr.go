@@ -53,10 +53,10 @@ func PersonalizedPageRank(g graph.Adj, o *Options, src uint32, damping, eps floa
 				v := uint32(i)
 				deg := g.Degree(v)
 				var acc float64
-				g.IterRange(v, 0, deg, func(_, u uint32, _ int32) bool {
+				nghs, _ := g.Range(v, 0, deg, o.scratch(w))
+				for _, u := range nghs {
 					acc += contrib[u]
-					return true
-				})
+				}
 				scanned += int64(deg)
 				nv := damping * acc
 				if v == src {

@@ -46,14 +46,13 @@ func Spanner(g graph.Adj, o *Options, k int) []graph.Edge {
 		for i := lo; i < hi; i++ {
 			v := uint32(i)
 			cv := ldd.Cluster[v]
-			g.IterRange(v, 0, g.Degree(v), func(_, u uint32, _ int32) bool {
-				cu := ldd.Cluster[u]
-				if cu != cv {
+			nghs, _ := g.Range(v, 0, g.Degree(v), o.scratch(w))
+			for _, u := range nghs {
+				if cu := ldd.Cluster[u]; cu != cv {
 					witness.InsertMin(edgeKey(cu, cv), edgeKey(v, u))
 					o.Env.StateWrite(w, 1)
 				}
-				return true
-			})
+			}
 		}
 	})
 	witness.ForEach(func(_, val uint64) {

@@ -83,7 +83,7 @@ type membership struct {
 
 	stopOnce sync.Once
 	stop     chan struct{}
-	done     chan struct{}
+	prober   sync.WaitGroup // the background prober, when start launched one
 }
 
 func newMembership(peers []Peer, client *http.Client, backoff time.Duration) (*membership, error) {
@@ -92,7 +92,6 @@ func newMembership(peers []Peer, client *http.Client, backoff time.Duration) (*m
 		client:  client,
 		backoff: backoff,
 		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	for _, p := range peers {
 		if _, dup := m.peers[p.Name]; dup {
@@ -170,11 +169,11 @@ func (m *membership) probeAll() {
 // non-positive interval disables it (passive health only).
 func (m *membership) start(interval time.Duration) {
 	if interval <= 0 {
-		close(m.done)
 		return
 	}
+	m.prober.Add(1)
 	go func() {
-		defer close(m.done)
+		defer m.prober.Done()
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		for {
@@ -188,10 +187,11 @@ func (m *membership) start(interval time.Duration) {
 	}()
 }
 
-// close stops the background prober and waits for it to exit.
+// close stops the background prober, if one was started, and waits for
+// it to exit.
 func (m *membership) close() {
 	m.stopOnce.Do(func() { close(m.stop) })
-	<-m.done
+	m.prober.Wait()
 }
 
 // peerInfo is one peer's /metrics and /v1/cluster rendering.

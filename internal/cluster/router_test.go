@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"sage/internal/server"
 )
@@ -42,7 +43,7 @@ func TestProxiedBodiesCarryContentLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.Start() // probing is disabled; Close waits for a started prober
+	rt.Start()
 	defer rt.Close()
 	front := httptest.NewServer(rt)
 	defer front.Close()
@@ -72,6 +73,33 @@ func TestProxiedBodiesCarryContentLength(t *testing.T) {
 		if s.length != int64(len(want)) || len(s.encoding) != 0 {
 			t.Errorf("%s: ContentLength=%d TransferEncoding=%v, want %d and none",
 				s.path, s.length, s.encoding, len(want))
+		}
+	}
+}
+
+// TestRouterCloseWithoutStart checks that Start is optional: closing a
+// router that never launched its prober returns instead of waiting for
+// one, with probing enabled or disabled, and a second Close is harmless.
+func TestRouterCloseWithoutStart(t *testing.T) {
+	for _, every := range []time.Duration{time.Hour, -1} {
+		rt, err := NewRouter(RouterConfig{
+			Peers:         []Peer{{Name: "r0", URL: "http://127.0.0.1:1"}},
+			Replication:   1,
+			ProbeInterval: every,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed := make(chan struct{})
+		go func() {
+			rt.Close()
+			rt.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("Close without Start (probe interval %v) did not return", every)
 		}
 	}
 }

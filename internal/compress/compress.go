@@ -194,68 +194,57 @@ func (c *CGraph) region(v uint32) []byte {
 	return c.data[c.vtxOff[v]:c.vtxOff[v+1]]
 }
 
-// IterRange implements graph.Adj. Because blocks decode sequentially,
-// positions before lo inside the first block are decoded and skipped — the
-// cost behaviour Appendix D.1 studies.
-func (c *CGraph) IterRange(v uint32, lo, hi uint32, fn func(i, ngh uint32, w int32) bool) {
-	if hi > c.degrees[v] {
-		hi = c.degrees[v]
-	}
-	if hi <= lo {
-		return
-	}
-	region := c.region(v)
-	nb := c.numBlocks(v)
-	for b := lo / c.blockSize; b <= (hi-1)/c.blockSize && b < nb; b++ {
-		if !c.decodeBlock(v, b, region, func(i, ngh uint32, w int32) bool {
-			if i < lo {
-				return true
-			}
-			if i >= hi {
-				return false
-			}
-			return fn(i, ngh, w)
-		}) {
-			return
-		}
-	}
-}
-
-// decodeBlock walks block b of v's region, calling fn(pos, ngh, w) with
-// the global adjacency position; it returns false if fn aborted.
-// Unweighted graphs pass w = 1.
+// Range implements graph.Adj, block-decoding positions [lo, hi) of v
+// into s. Blocks decode sequentially, so positions before lo inside the
+// first block are decoded and dropped — the cost behaviour Appendix D.1
+// studies. Weighted graphs decode the interleaved zigzag weights too.
 //
 //sage:hotpath
-func (c *CGraph) decodeBlock(v, b uint32, region []byte, fn func(i, ngh uint32, w int32) bool) bool {
-	lo := b * c.blockSize
-	hi := min(lo+c.blockSize, c.degrees[v])
-	pos := int(getU32(region[4*b:]))
-	first, k := getVarint(region[pos:])
-	pos += k
-	ngh := uint32(int64(v) + unzigzag(first))
-	w := int32(1)
-	if c.weighted {
-		enc, k := getVarint(region[pos:])
-		pos += k
-		w = int32(unzigzag(enc))
+func (c *CGraph) Range(v, lo, hi uint32, s *graph.Scratch) ([]uint32, []int32) {
+	hi = min(hi, c.degrees[v])
+	nghs, ws := s.Nghs[:0], s.Ws[:0]
+	if hi <= lo {
+		return nghs, nil
 	}
-	if !fn(lo, ngh, w) {
-		return false
-	}
-	for i := lo + 1; i < hi; i++ {
-		gap, k := getVarint(region[pos:])
-		pos += k
-		ngh += uint32(gap)
-		if c.weighted {
-			enc, k := getVarint(region[pos:])
-			pos += k
-			w = int32(unzigzag(enc))
+	region := c.region(v)
+	b0 := lo / c.blockSize
+	for b := b0; b*c.blockSize < hi; b++ {
+		i, end := b*c.blockSize, min((b+1)*c.blockSize, hi)
+		p := int(getU32(region[4*b:]))
+		enc, k := getVarint(region[p:])
+		p += k
+		ngh := uint32(int64(v) + unzigzag(enc))
+		nghs = append(nghs, ngh)
+		if !c.weighted {
+			// The common case gets its own loop, free of the per-edge
+			// weight test.
+			for i++; i < end; i++ {
+				enc, k = getVarint(region[p:])
+				p += k
+				ngh += uint32(enc)
+				nghs = append(nghs, ngh)
+			}
+			continue
 		}
-		if !fn(i, ngh, w) {
-			return false
+		for {
+			enc, k = getVarint(region[p:])
+			p += k
+			ws = append(ws, int32(unzigzag(enc)))
+			if i++; i == end {
+				break
+			}
+			enc, k = getVarint(region[p:])
+			p += k
+			ngh += uint32(enc)
+			nghs = append(nghs, ngh)
 		}
 	}
-	return true
+	s.Nghs, s.Ws = nghs, ws
+	skip := lo - b0*c.blockSize
+	if !c.weighted {
+		return nghs[skip:], nil
+	}
+	return nghs[skip:], ws[skip:]
 }
 
 // SizeWords reports the simulated NVRAM footprint in words.

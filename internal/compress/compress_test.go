@@ -53,14 +53,8 @@ func checkEquivalent(t *testing.T, g *graph.Graph, c *CGraph) {
 			t.Fatalf("deg(%d): %d vs %d", v, c.Degree(v), g.Degree(v))
 		}
 		want := g.Neighbors(v)
-		var got []uint32
-		c.IterRange(v, 0, c.Degree(v), func(i, ngh uint32, _ int32) bool {
-			if int(i) != len(got) {
-				t.Fatalf("position misnumbered at %d", v)
-			}
-			got = append(got, ngh)
-			return true
-		})
+		var s graph.Scratch
+		got, _ := c.Range(v, 0, c.Degree(v), &s)
 		if len(got) != len(want) {
 			t.Fatalf("vertex %d: %d nghs vs %d", v, len(got), len(want))
 		}
@@ -98,11 +92,8 @@ func TestCompressSubRange(t *testing.T) {
 		}
 		lo, hi := deg/4, deg/4*3
 		want := g.Neighbors(v)[lo:hi]
-		var got []uint32
-		c.IterRange(v, lo, hi, func(_, ngh uint32, _ int32) bool {
-			got = append(got, ngh)
-			return true
-		})
+		var s graph.Scratch
+		got, _ := c.Range(v, lo, hi, &s)
 		if len(got) != len(want) {
 			t.Fatalf("v=%d range [%d,%d): %d vs %d", v, lo, hi, len(got), len(want))
 		}
@@ -114,16 +105,20 @@ func TestCompressSubRange(t *testing.T) {
 	}
 }
 
+// TestCompressEarlyExit checks that a prefix range stops decoding at hi
+// inside the first block.
 func TestCompressEarlyExit(t *testing.T) {
 	g := gen.Star(100)
 	c := Compress(g, 64)
-	count := 0
-	c.IterRange(0, 0, c.Degree(0), func(_, _ uint32, _ int32) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("early exit count=%d", count)
+	var s graph.Scratch
+	got, _ := c.Range(0, 0, 3, &s)
+	if len(got) != 3 || len(s.Nghs) != 3 {
+		t.Fatalf("prefix range decoded %d (buffer %d), want 3", len(got), len(s.Nghs))
+	}
+	for i, u := range g.Neighbors(0)[:3] {
+		if got[i] != u {
+			t.Fatalf("prefix[%d] = %d, want %d", i, got[i], u)
+		}
 	}
 }
 
@@ -158,10 +153,10 @@ func TestCompressEmptyAndTinyVertices(t *testing.T) {
 	if c.Degree(3) != 0 {
 		t.Fatal("isolated vertex degree")
 	}
-	c.IterRange(3, 0, 0, func(_, _ uint32, _ int32) bool {
-		t.Fatal("iterated empty vertex")
-		return false
-	})
+	var s graph.Scratch
+	if got, _ := c.Range(3, 0, 1, &s); len(got) != 0 {
+		t.Fatalf("isolated vertex decoded %v", got)
+	}
 }
 
 func TestCompressWeightedRoundTrip(t *testing.T) {
@@ -173,13 +168,8 @@ func TestCompressWeightedRoundTrip(t *testing.T) {
 	for v := uint32(0); v < g.NumVertices(); v++ {
 		want := g.Neighbors(v)
 		ws := g.NeighborWeights(v)
-		var gotN []uint32
-		var gotW []int32
-		c.IterRange(v, 0, c.Degree(v), func(_, ngh uint32, w int32) bool {
-			gotN = append(gotN, ngh)
-			gotW = append(gotW, w)
-			return true
-		})
+		var s graph.Scratch
+		gotN, gotW := c.Range(v, 0, c.Degree(v), &s)
 		if len(gotN) != len(want) {
 			t.Fatalf("v=%d: %d vs %d neighbors", v, len(gotN), len(want))
 		}
@@ -196,11 +186,8 @@ func TestCompressWeightedNegativeWeights(t *testing.T) {
 		{U: 0, V: 1, W: -7}, {U: 1, V: 2, W: 1000000},
 	}, graph.BuildOpts{Symmetrize: true})
 	c := Compress(g, 64)
-	var got []int32
-	c.IterRange(1, 0, c.Degree(1), func(_, _ uint32, w int32) bool {
-		got = append(got, w)
-		return true
-	})
+	var s graph.Scratch
+	_, got := c.Range(1, 0, c.Degree(1), &s)
 	if len(got) != 2 || got[0] != -7 || got[1] != 1000000 {
 		t.Fatalf("weights %v", got)
 	}

@@ -30,6 +30,9 @@ func putVarint(out []byte, x uint64) int {
 //
 //sage:hotpath
 func getVarint(in []byte) (uint64, int) {
+	if b := in[0]; b < 0x80 {
+		return uint64(b), 1 // the common one-byte gap
+	}
 	var x uint64
 	var shift uint
 	for i := 0; ; i++ {

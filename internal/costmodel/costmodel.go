@@ -1,9 +1,10 @@
 // Package costmodel generalizes the PSAM's single hardcoded hardware
 // point — Optane's read/write asymmetry — into pluggable cost profiles.
-// A Model maps PSAM-style operation counts (DRAM/NVRAM reads and writes,
-// cache hits and misses, page I/O) to a predicted cost in DRAM-access
-// units, a predicted latency, and a predicted energy, the way GraphR
-// models hardware as explicit per-operation latency and energy constants.
+// A Profile maps PSAM-style operation counts (DRAM/NVRAM reads and
+// writes, cache hits and misses, page I/O) to a predicted cost in
+// DRAM-access units, a predicted latency, and a predicted energy, the way
+// GraphR models hardware as explicit per-operation latency and energy
+// constants.
 //
 // The concrete profiles cover the hardware families the paper's §5
 // discussion and the related work span:
@@ -55,27 +56,11 @@ func FromPSAM(c psam.Counts) Counts {
 	}
 }
 
-// Model maps operation counts to predicted cost, latency, and energy, and
-// projects itself onto the PSAM simulator's charging weights.
-type Model interface {
-	// Name is the registry key ("optane", "dram", "reram", "flash").
-	Name() string
-	// Cost is the predicted cost in DRAM-access units — the PSAM's
-	// currency, comparable across profiles and directly against
-	// psam.Counts.Cost for the word-granular ones.
-	Cost(c Counts) int64
-	// LatencyNS is the predicted serial access latency in nanoseconds.
-	LatencyNS(c Counts) float64
-	// EnergyNJ is the predicted access energy in nanojoules.
-	EnergyNJ(c Counts) float64
-	// PSAM returns the charging weights the simulator should run with so
-	// measured PSAM costs and model predictions share one scale.
-	PSAM() psam.Config
-}
-
-// Profile is the concrete Model: per-operation charge weights in
-// DRAM-access units plus per-operation latency and energy constants. The
-// zero value is unusable; start from a built-in (Optane, DRAMOnly, ReRAM,
+// Profile is a hardware cost model: per-operation charge weights in
+// DRAM-access units plus per-operation latency and energy constants. It
+// prices operation counts (Cost, LatencyNS, EnergyNJ) and projects itself
+// onto the PSAM simulator's charging weights (PSAM). The zero value is
+// unusable; start from a built-in (Optane, DRAMOnly, ReRAM,
 // FlashCSD) or Custom and override fields.
 type Profile struct {
 	// ModelName is the registry key reported by Name().
@@ -108,8 +93,6 @@ type Profile struct {
 	// the NUMA experiments (§5.2).
 	RemotePenalty float64
 }
-
-var _ Model = (*Profile)(nil)
 
 // Name returns the registry key.
 func (p *Profile) Name() string { return p.ModelName }
@@ -288,9 +271,9 @@ func FlashCSD() Profile {
 	}
 }
 
-// Custom is the deprecated two-scalar cost model as a profile: the
-// Optane baseline with the read charge and write multiplier overridden —
-// exactly what sage.WithCostModel(nvramRead, omega) historically set.
+// Custom is the two-scalar cost model as a profile: the Optane baseline
+// with the read charge and write multiplier overridden — what
+// sage.WithCostModel(nvramRead, omega) selects.
 func Custom(nvramRead, omega int64) Profile {
 	p := Optane()
 	p.ModelName = "custom"

@@ -84,7 +84,7 @@ func TestLookupAndNames(t *testing.T) {
 }
 
 // Custom(nvramRead, omega) is the Optane baseline with the two scalars
-// overridden — what the deprecated WithCostModel historically set.
+// overridden — what WithCostModel selects.
 func TestCustomOverridesOptane(t *testing.T) {
 	p := Custom(3, 4)
 	want := Optane()

@@ -12,8 +12,8 @@
 // base graph, zero-copy) with the old one. Snapshots taken before a batch
 // therefore stay valid for in-flight traversals; readers never lock.
 //
-// The Overlay implements graph.Adj — merged iteration over (base \ dels)
-// ∪ adds, sorted, with weights — and graph.FlatAdj in its decode form, so
+// The Overlay implements graph.Adj — merged ranges of (base \ dels) ∪
+// adds, sorted, with weights, decoded into the caller's scratch — so
 // every traversal strategy and every registry algorithm runs on it
 // unmodified. Vertices without a delta delegate to the base directly, and
 // the empty overlay is never handed to the traversal layer at all (the
@@ -138,18 +138,6 @@ func (o *Overlay) Words() int64 { return o.words }
 // and base arcs deleted (each undirected edge op contributes two arcs).
 // A re-weighted edge counts in both.
 func (o *Overlay) DeltaArcs() (added, deleted uint64) { return o.arcsAdd, o.arcsDel }
-
-// baseNeighbors materializes v's base adjacency into buf (ids and, on
-// weighted bases, aligned weights).
-func (o *Overlay) baseNeighbors(v uint32, buf []uint32, wbuf []int32) ([]uint32, []int32) {
-	buf, wbuf = buf[:0], wbuf[:0]
-	o.base.IterRange(v, 0, o.base.Degree(v), func(_, u uint32, w int32) bool {
-		buf = append(buf, u)
-		wbuf = append(wbuf, w)
-		return true
-	})
-	return buf, wbuf
-}
 
 // find locates x in the sorted slice s.
 func find(s []uint32, x uint32) (int, bool) {
@@ -303,7 +291,7 @@ func (o *Overlay) Apply(ops []Op) (*Overlay, error) {
 		for _, dir := range [2][2]uint32{{op.U, op.V}, {op.V, op.U}} {
 			d := touch(dir[0])
 			if _, ok := baseN[dir[0]]; !ok {
-				baseN[dir[0]], baseW[dir[0]] = nv.baseNeighbors(dir[0], nil, nil)
+				baseN[dir[0]], baseW[dir[0]] = nv.base.Range(dir[0], 0, nv.base.Degree(dir[0]), new(graph.Scratch))
 			}
 			delta := nv.applyArc(d, baseN[dir[0]], baseW[dir[0]], dir[1], w, op.Del)
 			nv.m = uint64(int64(nv.m) + int64(delta))
@@ -386,8 +374,8 @@ func (o *Overlay) AvgDegree() uint32 {
 func (o *Overlay) EdgeAddr(v uint32) int64 { return o.base.EdgeAddr(v) }
 
 // BlockSize reports 0: the merged view supports arbitrary decode
-// granularity regardless of the base's block structure (DecodeRange
-// re-merges per call).
+// granularity regardless of the base's block structure (Range re-merges
+// per call).
 func (o *Overlay) BlockSize() int { return 0 }
 
 // ScanCost returns the simulated NVRAM words read when scanning merged
@@ -404,48 +392,31 @@ func (o *Overlay) ScanCost(v uint32, lo, hi uint32) int64 {
 	return o.base.ScanCost(v, 0, o.base.Degree(v))
 }
 
-// IterRange iterates merged adjacency positions [lo, hi) of v in sorted
-// order, stopping early if fn returns false. Base neighbors absent from
-// the delete set appear with their base weights; inserted neighbors
-// (including re-weighted base edges) with their delta weights.
-func (o *Overlay) IterRange(v uint32, lo, hi uint32, fn func(i, ngh uint32, w int32) bool) {
+// Range implements graph.Adj over merged positions [lo, hi) of v, in
+// sorted order. Vertices without a delta delegate to the base. A delta
+// vertex decodes a prefix of its base list into s.Inner() and merges it
+// with the delta in one pass: base neighbors absent from the delete set
+// keep their base weights, inserted neighbors (re-weighted base edges
+// included) carry their delta weights. Inserts past the decoded prefix
+// land at positions >= hi and are sliced away.
+//
+//sage:hotpath
+func (o *Overlay) Range(v, lo, hi uint32, s *graph.Scratch) ([]uint32, []int32) {
 	d, ok := o.verts[v]
 	if !ok {
-		o.base.IterRange(v, lo, hi, fn)
-		return
+		return o.base.Range(v, lo, hi, s)
 	}
-	if deg := o.Degree(v); hi > deg {
-		hi = deg
-	}
-	if hi <= lo {
-		return
-	}
-	pos := uint32(0)
+	// Merged positions below hi come from base positions below
+	// hi+len(dels), so the base decode can stop there.
+	bhi := min(hi, o.base.Degree(v)) + uint32(len(d.dels))
+	bn, bw := o.base.Range(v, 0, bhi, s.Inner())
+	nghs, ws := s.Nghs[:0], s.Ws[:0]
 	ai, di := 0, 0
-	stopped := false
-	emit := func(ngh uint32, w int32) bool { // returns false to stop the walk
-		if pos >= hi {
-			return false
-		}
-		if pos >= lo && !fn(pos, ngh, w) {
-			pos++
-			return false
-		}
-		pos++
-		return true
-	}
-	addW := func(i int) int32 {
-		if d.addW == nil {
-			return 1
-		}
-		return d.addW[i]
-	}
-	o.base.IterRange(v, 0, o.base.Degree(v), func(_, u uint32, w int32) bool {
-		// Flush inserted neighbors ordered before u.
+	for j, u := range bn {
 		for ai < len(d.adds) && d.adds[ai] < u {
-			if !emit(d.adds[ai], addW(ai)) {
-				stopped = true
-				return false
+			nghs = append(nghs, d.adds[ai])
+			if o.weighted {
+				ws = append(ws, d.addW[ai])
 			}
 			ai++
 		}
@@ -453,101 +424,23 @@ func (o *Overlay) IterRange(v uint32, lo, hi uint32, fn func(i, ngh uint32, w in
 			di++
 		}
 		if di < len(d.dels) && d.dels[di] == u {
-			// Deleted base arc; a same-id insert is a re-weight.
-			di++
-			if ai < len(d.adds) && d.adds[ai] == u {
-				ok := emit(u, addW(ai))
-				ai++
-				if !ok {
-					stopped = true
-					return false
-				}
-			}
-			return true
+			continue
 		}
-		if !emit(u, w) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for ai < len(d.adds) {
-		if !emit(d.adds[ai], addW(ai)) {
-			return
-		}
-		ai++
-	}
-}
-
-// --------------------------------------------------------------------
-// graph.FlatAdj: the decode form of the closure-free access path. The
-// merged view is never flat (FlatRange always declines), so traversals
-// block-decode it into their per-worker scratch like a compressed graph.
-// --------------------------------------------------------------------
-
-// FlatRange implements graph.FlatAdj: merged adjacency is never flat.
-//
-//sage:hotpath
-func (o *Overlay) FlatRange(v, lo, hi uint32) ([]uint32, []int32, bool) {
-	return nil, nil, false
-}
-
-// DecodeRange implements graph.FlatAdj, materializing merged positions
-// [lo, hi) of v into buf. Vertices without a delta delegate to the base's
-// own decoder when it has one.
-func (o *Overlay) DecodeRange(v, lo, hi uint32, buf []uint32) []uint32 {
-	if _, ok := o.verts[v]; !ok {
-		if fad, ok := o.base.(graph.FlatAdj); ok {
-			return fad.DecodeRange(v, lo, hi, buf)
+		nghs = append(nghs, u)
+		if o.weighted {
+			ws = append(ws, bw[j])
 		}
 	}
-	if deg := o.Degree(v); hi > deg {
-		hi = deg
-	}
-	buf = buf[:0]
-	if hi <= lo {
-		return buf
-	}
-	o.IterRange(v, lo, hi, func(_, u uint32, _ int32) bool {
-		buf = append(buf, u)
-		return true
-	})
-	return buf
-}
-
-// DecodeRangeW implements graph.FlatAdj, additionally materializing the
-// aligned weights (ws is nil on unweighted bases).
-func (o *Overlay) DecodeRangeW(v, lo, hi uint32, buf []uint32, wbuf []int32) ([]uint32, []int32) {
-	if _, ok := o.verts[v]; !ok {
-		if fad, ok := o.base.(graph.FlatAdj); ok {
-			return fad.DecodeRangeW(v, lo, hi, buf, wbuf)
-		}
-	}
-	if deg := o.Degree(v); hi > deg {
-		hi = deg
-	}
-	buf = buf[:0]
+	nghs = append(nghs, d.adds[ai:]...)
+	s.Nghs = nghs
+	hi = min(hi, uint32(len(nghs)))
+	lo = min(lo, hi)
 	if !o.weighted {
-		if hi > lo {
-			o.IterRange(v, lo, hi, func(_, u uint32, _ int32) bool {
-				buf = append(buf, u)
-				return true
-			})
-		}
-		return buf, nil
+		return nghs[lo:hi], nil
 	}
-	wbuf = wbuf[:0]
-	if hi > lo {
-		o.IterRange(v, lo, hi, func(_, u uint32, w int32) bool {
-			buf = append(buf, u)
-			wbuf = append(wbuf, w)
-			return true
-		})
-	}
-	return buf, wbuf
+	ws = append(ws, d.addW[ai:]...)
+	s.Ws = ws
+	return nghs[lo:hi], ws[lo:hi]
 }
 
 // SizeWords returns the simulated NVRAM footprint of the view — the

@@ -155,23 +155,20 @@ func TestFilterDirtyBits(t *testing.T) {
 	}
 }
 
-func TestFilterAdjIterRange(t *testing.T) {
+func TestFilterAdjRange(t *testing.T) {
 	g := gen.RMAT(9, 16, 7)
 	f := New(g, 64, nil)
 	pred := func(u, ngh uint32) bool { return (u+ngh)%3 != 0 }
 	f.FilterEdges(pred)
 	for v := uint32(0); v < g.NumVertices(); v++ {
 		want := activeOf(f, v)
-		var got []uint32
-		f.IterRange(v, 0, f.Degree(v), func(i, ngh uint32, _ int32) bool {
-			if int(i) != len(got) {
-				t.Fatalf("v=%d: position %d, expected %d", v, i, len(got))
-			}
-			got = append(got, ngh)
-			return true
-		})
+		var s graph.Scratch
+		got, ws := f.Range(v, 0, f.Degree(v), &s)
+		if ws != nil {
+			t.Fatalf("v=%d: filter returned weights", v)
+		}
 		if len(got) != len(want) {
-			t.Fatalf("v=%d IterRange %d vs IterActive %d", v, len(got), len(want))
+			t.Fatalf("v=%d Range %d vs IterActive %d", v, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -181,11 +178,7 @@ func TestFilterAdjIterRange(t *testing.T) {
 		// Sub-ranges too.
 		if len(want) >= 4 {
 			lo, hi := uint32(1), uint32(len(want)-1)
-			var sub []uint32
-			f.IterRange(v, lo, hi, func(_, ngh uint32, _ int32) bool {
-				sub = append(sub, ngh)
-				return true
-			})
+			sub, _ := f.Range(v, lo, hi, &s)
 			if len(sub) != int(hi-lo) {
 				t.Fatalf("v=%d subrange len %d want %d", v, len(sub), hi-lo)
 			}

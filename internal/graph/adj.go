@@ -23,28 +23,18 @@ type Adj interface {
 	// adjacency positions [lo, hi) of v. For compressed graphs this is
 	// block-aligned: partial block reads cost the whole block.
 	ScanCost(v uint32, lo, hi uint32) int64
-	// IterRange iterates adjacency positions [lo, hi) of v in order,
-	// stopping if fn returns false. Position indices i are in [0, deg(v)).
-	// Unweighted graphs supply weight 1.
-	IterRange(v uint32, lo, hi uint32, fn func(i, ngh uint32, w int32) bool)
+	// Range returns the neighbors at adjacency positions [lo, hi) of v,
+	// hi clamped to deg(v), with their aligned weights; ws is nil when the
+	// graph is unweighted (every weight is 1). Flat representations (CSR,
+	// the GBBS mutable image) return slices aliasing their storage; the
+	// others decode into s, which the caller owns. The slices are
+	// read-only and valid until the next call with the same s.
+	//sage:arena-view
+	//sage:hotpath
+	Range(v, lo, hi uint32, s *Scratch) (nghs []uint32, ws []int32)
 	// BlockSize returns the decode granularity: 0 for CSR (any), or the
 	// compression block size.
 	BlockSize() int
 	// Weighted reports whether edges carry weights.
 	Weighted() bool
-}
-
-// IterAll iterates the full adjacency list of v.
-func IterAll(g Adj, v uint32, fn func(i, ngh uint32, w int32) bool) {
-	g.IterRange(v, 0, g.Degree(v), fn)
-}
-
-// DecodeRange appends the neighbors at positions [lo, hi) of v to buf and
-// returns the extended slice.
-func DecodeRange(g Adj, v uint32, lo, hi uint32, buf []uint32) []uint32 {
-	g.IterRange(v, lo, hi, func(_, ngh uint32, _ int32) bool {
-		buf = append(buf, ngh)
-		return true
-	})
-	return buf
 }

@@ -106,28 +106,18 @@ func (g *Graph) ScanCost(v uint32, lo, hi uint32) int64 {
 	return c
 }
 
-// IterRange calls fn(i, ngh, w) for each adjacency position i in [lo, hi)
-// of vertex v, stopping early if fn returns false. Unweighted graphs pass
-// w = 1.
+// Range implements Adj: both arrays are flat, so the slices alias the
+// graph and s is unused.
 //
+//sage:arena-view
 //sage:hotpath
-func (g *Graph) IterRange(v uint32, lo, hi uint32, fn func(i, ngh uint32, w int32) bool) {
-	base := g.offsets[v]
-	nghs := g.edges[base+uint64(lo) : base+uint64(hi)]
+func (g *Graph) Range(v, lo, hi uint32, _ *Scratch) ([]uint32, []int32) {
+	end := min(g.offsets[v+1], g.offsets[v]+uint64(hi))
+	start := min(g.offsets[v]+uint64(lo), end)
 	if g.weights == nil {
-		for i, u := range nghs {
-			if !fn(lo+uint32(i), u, 1) {
-				return
-			}
-		}
-		return
+		return g.edges[start:end], nil
 	}
-	ws := g.weights[base+uint64(lo) : base+uint64(hi)]
-	for i, u := range nghs {
-		if !fn(lo+uint32(i), u, ws[i]) {
-			return
-		}
-	}
+	return g.edges[start:end], g.weights[start:end]
 }
 
 // BlockSize reports the natural decode granularity; CSR graphs support

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -73,26 +74,32 @@ func TestWeightedBuild(t *testing.T) {
 	}
 }
 
+// TestIterRangeEarlyExit checks that CSR Range stops where asked: on
+// prefixes, interior ranges, hi past the degree, and empty ranges.
 func TestIterRangeEarlyExit(t *testing.T) {
 	g := FromEdges(5, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}}, BuildOpts{Symmetrize: true})
-	var seen []uint32
-	g.IterRange(0, 0, 4, func(_, ngh uint32, _ int32) bool {
-		seen = append(seen, ngh)
-		return len(seen) < 2
-	})
-	if len(seen) != 2 {
-		t.Fatalf("seen=%v", seen)
-	}
-	seen = nil
-	g.IterRange(0, 1, 3, func(i, ngh uint32, _ int32) bool {
-		if i < 1 || i >= 3 {
-			t.Fatalf("position %d out of range", i)
+	for _, tc := range []struct {
+		lo, hi uint32
+		want   []uint32
+	}{
+		{0, 2, []uint32{1, 2}},
+		{1, 3, []uint32{2, 3}},
+		{2, 99, []uint32{3, 4}},
+		{3, 3, nil},
+		{3, 1, nil},
+	} {
+		got, ws := g.Range(0, tc.lo, tc.hi, nil)
+		if ws != nil || !slices.Equal(got, tc.want) {
+			t.Fatalf("Range(0,%d,%d) = %v %v, want %v", tc.lo, tc.hi, got, ws, tc.want)
 		}
-		seen = append(seen, ngh)
-		return true
-	})
-	if len(seen) != 2 || seen[0] != 2 || seen[1] != 3 {
-		t.Fatalf("range iter: %v", seen)
+	}
+}
+
+// TestDecodeRange checks that a prefix of a vertex's neighbours decodes
+// to the leading neighbour IDs.
+func TestDecodeRange(t *testing.T) {
+	if got, _ := triangleGraph().Range(0, 0, 2, nil); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("triangle prefix %v", got)
 	}
 }
 
@@ -164,13 +171,5 @@ func TestAvgMaxDegree(t *testing.T) {
 	}
 	if g.AvgDegree() != 1 {
 		t.Fatalf("avg %d", g.AvgDegree())
-	}
-}
-
-func TestDecodeRange(t *testing.T) {
-	g := triangleGraph()
-	got := DecodeRange(g, 0, 0, 2, nil)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("decode %v", got)
 	}
 }

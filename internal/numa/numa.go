@@ -93,10 +93,9 @@ func DegreeCount(g *graph.Graph) ([]uint32, int64) {
 		for i := lo; i < hi; i++ {
 			v := uint32(i)
 			var c uint32
-			g.IterRange(v, 0, g.Degree(v), func(_, _ uint32, _ int32) bool {
+			for range g.Neighbors(v) {
 				c++
-				return true
-			})
+			}
 			out[i] = c
 			words += int64(g.Degree(v)) + 1
 		}

@@ -9,14 +9,13 @@
 // Table 5 memory comparison and the Figure 1/7 cost comparisons come
 // directly out of the same code paths that compute results.
 //
-// The inner loops are closure-free: each traversal resolves the graph's
-// flat access path once (graph.Flat) and iterates plain neighbor slices —
-// aliases of the CSR arrays for uncompressed graphs, or block decodes
-// into per-worker scratch buffers for compressed ones, amortizing decode
-// cost per block instead of per edge. The PSAM accounting is identical to
-// the callback path; only the per-edge dispatch is gone. Small per-round
-// loops launch on the parallel package's persistent worker pool, so a
-// frontier algorithm's thousands of rounds do not spawn goroutines.
+// The inner loops are closure-free: each traversal takes plain neighbor
+// slices from Adj.Range (through graph.Flat's CSR shortcut) — aliases of
+// the CSR arrays for uncompressed graphs, or block decodes into
+// per-worker scratch buffers for compressed ones, amortizing decode cost
+// per block instead of per edge. Small per-round loops launch on the
+// parallel package's persistent worker pool, so a frontier algorithm's
+// thousands of rounds do not spawn goroutines.
 package traverse
 
 import (
@@ -199,12 +198,9 @@ func frontierDegree(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset) int64
 
 // edgeMapDense is the pull-based traversal: every vertex satisfying Cond
 // scans its in-edges (equal to out-edges on symmetric graphs) for frontier
-// members, stopping as soon as Cond(d) turns false. Zero-copy
-// representations (CSR, the GBBS mutable image) scan flat aliased slices
-// with no per-edge callback; compressed and filtered representations keep
-// the callback decode, because the dense scan's early exit typically
-// fires within a few edges and decoding a whole block to scan two of its
-// entries costs more than the dispatch it saves.
+// members, stopping as soon as Cond(d) turns false. The scan runs over
+// Range pieces of BlockSize() positions (the whole list when 0), so a
+// compressed graph decodes only the blocks up to the stop position.
 func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops, opt Options) *frontier.VertexSubset {
 	n := g.NumVertices()
 	from := vs.Dense()
@@ -219,7 +215,7 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 		c int64
 		_ [56]byte
 	}
-	zeroCopy := flat.ZeroCopy()
+	piece := uint32(g.BlockSize())
 	parallel.ForBlocks(int(n), 256, func(w, lo, hi int) {
 		sc := pools.Scratch(w)
 		var scanned, produced int64
@@ -228,22 +224,20 @@ func edgeMapDense(g graph.Adj, env *psam.Env, vs *frontier.VertexSubset, ops Ops
 			if !ops.Cond(d) {
 				continue
 			}
-			if zeroCopy {
+			if piece == 0 {
 				nghs, ws := flat.Full(d, sc)
-				n, _ := densePiece(ops, from, out, d, nghs, ws, &produced)
-				scanned += n
+				k, _ := densePiece(ops, from, out, d, nghs, ws, &produced)
+				scanned += k
 				continue
 			}
-			g.IterRange(d, 0, g.Degree(d), func(_, s uint32, wt int32) bool {
-				scanned++
-				if from[s] && ops.Update(s, d, wt) {
-					if out != nil && !out[d] {
-						out[d] = true
-						produced++
-					}
+			for plo, deg := uint32(0), g.Degree(d); plo < deg; plo += piece {
+				nghs, ws := flat.Slice(d, plo, plo+piece, sc)
+				k, stop := densePiece(ops, from, out, d, nghs, ws, &produced)
+				scanned += k
+				if stop {
+					break
 				}
-				return ops.Cond(d)
-			})
+			}
 		}
 		env.GraphRead(w, 0, scanned)
 		env.StateRead(w, scanned)
