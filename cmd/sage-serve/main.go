@@ -239,7 +239,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "listen:", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
@@ -280,6 +280,19 @@ func main() {
 	}
 }
 
+// Connection timeouts, the same for both roles. A client has
+// readHeaderTimeout to send its request line and headers, so a stalled or
+// slow-loris connection is dropped instead of pinning a goroutine, and an
+// idle keep-alive connection is closed after idleTimeout (longer than the
+// router's own idle-connection timeout toward replicas, so a replica never
+// closes a connection the router is about to reuse). Neither bounds a
+// run: body reads and response writes stay unbounded because runs may be
+// long; -max-run bounds execution.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // runRouter is the -role=router main loop: build the ring over -peers,
 // probe them once so the first requests route on fresh health state, and
 // proxy until a signal drains the process.
@@ -316,7 +329,7 @@ func runRouter(listen, peersFlag string, replication, vnodes int,
 		fmt.Fprintln(os.Stderr, "listen:", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: rt}
+	httpSrv := &http.Server{Handler: rt, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)

@@ -119,8 +119,12 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	}
 	client := cfg.Client
 	if client == nil {
+		// Idle connections are dropped after 90 s, before sage-serve
+		// replicas close theirs (2 min), so a reused connection is not
+		// one the replica is closing.
 		client = &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: runtime.GOMAXPROCS(0) * 4,
+			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
 	probeTimeout := cfg.ProbeTimeout
@@ -271,9 +275,11 @@ func (rt *Router) doPeer(ctx context.Context, ps *peerState, method, pathAndQuer
 }
 
 // relay copies resp to w verbatim — status, headers (minus hop-by-hop),
-// body — stamped with the serving replica's name. With capture set the
-// body is buffered and returned so the caller can cache it.
-func relay(w http.ResponseWriter, resp *http.Response, peer string, capture bool) ([]byte, error) {
+// body — stamped with the serving replica's name. body, when non-nil, is
+// resp's body already read in full (see readAhead); otherwise the body is
+// streamed. A failed write or read leaves nothing to do: the client or
+// the replica is gone, and the client sees a cut response.
+func relay(w http.ResponseWriter, resp *http.Response, peer string, body []byte) {
 	defer resp.Body.Close()
 	h := w.Header()
 	for k, vs := range resp.Header {
@@ -284,16 +290,11 @@ func relay(w http.ResponseWriter, resp *http.Response, peer string, capture bool
 	}
 	h.Set(RoutedToHeader, peer)
 	w.WriteHeader(resp.StatusCode)
-	if capture {
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		_, err = w.Write(body)
-		return body, err
+	if body != nil {
+		w.Write(body)
+		return
 	}
-	_, err := io.Copy(w, resp.Body)
-	return nil, err
+	io.Copy(w, resp.Body)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -461,7 +462,7 @@ func (rt *Router) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.peers.markUp(ps)
 		rt.listingsProxied.Add(1)
-		_, _ = relay(w, resp, ps.name, false)
+		relay(w, resp, ps.name, nil)
 		return
 	}
 	rt.noReplicaErrors.Add(1)
@@ -500,6 +501,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 		// (nothing executed).
 		h := w.Header()
 		h.Set("Content-Type", e.contentType)
+		h.Set("Content-Length", strconv.Itoa(len(e.body)))
 		if e.costModel != "" {
 			h.Set("X-Sage-Cost-Model", e.costModel)
 		}
@@ -532,20 +534,7 @@ func (rt *Router) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.peers.markUp(ps)
 		rt.runsProxied.Add(1)
-		capture := rt.cache != nil && resp.StatusCode == http.StatusOK
-		respBody, _ := relay(w, resp, ps.name, capture)
-		if capture && respBody != nil {
-			if gen, err := strconv.ParseUint(resp.Header.Get(server.GenerationHeader), 10, 64); err == nil {
-				rt.gens.observe(ds, gen)
-				rt.cache.Put(key, routerEntry{
-					gen:           gen,
-					body:          respBody,
-					contentType:   resp.Header.Get("Content-Type"),
-					costModel:     resp.Header.Get("X-Sage-Cost-Model"),
-					costPredicted: resp.Header.Get("X-Sage-Cost-Predicted"),
-				}, int64(len(respBody)))
-			}
-		}
+		relay(w, resp, ps.name, rt.readAhead(ds, key, resp))
 		return
 	}
 	rt.noReplicaErrors.Add(1)
@@ -602,7 +591,7 @@ func (rt *Router) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// The primary rejected the batch (400/404/503 read_only/507/...):
 		// nothing was applied anywhere; relay its verdict verbatim.
 		rt.updatesProxied.Add(1)
-		_, _ = relay(w, resp, primary.name, false)
+		relay(w, resp, primary.name, nil)
 		return
 	}
 	primBody, err := io.ReadAll(resp.Body)
@@ -716,6 +705,39 @@ type routerEntry struct {
 	contentType   string
 	costModel     string
 	costPredicted string
+}
+
+// readAhead records a 200 run response's generation and, when the router
+// cache will keep the body — its length declared and within the cache's
+// per-entry bound — reads the body in full into a buffer of exactly that
+// size and caches it before anything is relayed, so a repeat sent the
+// moment this response completes finds the entry. It returns the body
+// read, or nil when the body is left to stream (or its read failed, which
+// the relay then surfaces to the client as a cut response).
+func (rt *Router) readAhead(ds, key string, resp *http.Response) []byte {
+	if rt.cache == nil || resp.StatusCode != http.StatusOK {
+		return nil
+	}
+	gen, err := strconv.ParseUint(resp.Header.Get(server.GenerationHeader), 10, 64)
+	if err != nil {
+		return nil
+	}
+	rt.gens.observe(ds, gen)
+	if resp.ContentLength < 0 || !rt.cache.Admits(key, resp.ContentLength) {
+		return nil
+	}
+	body := make([]byte, resp.ContentLength)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil
+	}
+	rt.cache.Put(key, routerEntry{
+		gen:           gen,
+		body:          body,
+		contentType:   resp.Header.Get("Content-Type"),
+		costModel:     resp.Header.Get("X-Sage-Cost-Model"),
+		costPredicted: resp.Header.Get("X-Sage-Cost-Predicted"),
+	}, int64(len(body)))
+	return body
 }
 
 // cacheMetrics reports the router cache's counters for /metrics (nil

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -100,6 +101,72 @@ func TestRouterCloseWithoutStart(t *testing.T) {
 		case <-closed:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("Close without Start (probe interval %v) did not return", every)
+		}
+	}
+}
+
+// TestRouterBuffersOnlyCacheableBodies checks that the router caches a
+// relayed run body only when its length is declared and the cache would
+// keep it; anything else streams through and every repeat reaches the
+// replica again.
+func TestRouterBuffersOnlyCacheableBodies(t *testing.T) {
+	small := strings.Repeat("s", 100)
+	big := strings.Repeat("b", 2000) // over a quarter of the 4 KiB budget
+	var mu sync.Mutex
+	hits := map[string]int{}
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		hits[r.URL.Path]++
+		mu.Unlock()
+		w.Header().Set(server.GenerationHeader, "1")
+		switch r.URL.Path {
+		case "/v1/run/web/small":
+			w.Header().Set("Content-Length", strconv.Itoa(len(small)))
+			w.Write([]byte(small))
+		case "/v1/run/web/big":
+			w.Header().Set("Content-Length", strconv.Itoa(len(big)))
+			w.Write([]byte(big))
+		case "/v1/run/web/chunked": // flushed before the end: no length
+			w.Write([]byte(small[:50]))
+			w.(http.Flusher).Flush()
+			w.Write([]byte(small[50:]))
+		}
+	}))
+	defer replica.Close()
+	rt, err := NewRouter(RouterConfig{
+		Peers:         []Peer{{Name: "r0", URL: replica.URL}},
+		Replication:   1,
+		ProbeInterval: -1,
+		CacheEntries:  16,
+		CacheBytes:    4096,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt)
+	defer front.Close()
+
+	want := map[string]string{"small": small, "big": big, "chunked": small}
+	for name, body := range want {
+		for i := 0; i < 2; i++ {
+			resp, err := http.Post(front.URL+"/v1/run/web/"+name, "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || string(got) != body {
+				t.Fatalf("%s: body of %d bytes (err %v), want %d", name, len(got), err, len(body))
+			}
+		}
+	}
+	wantHits := map[string]int{"/v1/run/web/small": 1, "/v1/run/web/big": 2, "/v1/run/web/chunked": 2}
+	mu.Lock()
+	defer mu.Unlock()
+	for path, n := range wantHits {
+		if hits[path] != n {
+			t.Errorf("%s reached the replica %d times, want %d", path, hits[path], n)
 		}
 	}
 }

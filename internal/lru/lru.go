@@ -89,13 +89,10 @@ func (c *Cache[V]) Get(key string, fresh func(V) bool) (V, bool) {
 // either bound. An entry charged more than a quarter of the byte budget
 // is not stored (an existing entry under key is left as it was).
 func (c *Cache[V]) Put(key string, v V, size int64) {
-	if c == nil {
+	if !c.Admits(key, size) {
 		return
 	}
 	size += int64(len(key))
-	if size > c.maxBytes/4 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n, ok := c.byKey[key]; ok {
@@ -112,6 +109,14 @@ func (c *Cache[V]) Put(key string, v V, size int64) {
 	for len(c.byKey) > c.max || c.bytes > c.maxBytes {
 		c.remove(c.root.prev)
 	}
+}
+
+// Admits reports whether Put would store an entry of size bytes under
+// key, i.e. whether its charge fits a quarter of the byte budget (false
+// for a nil cache). Callers use it to skip buffering what would not be
+// cached.
+func (c *Cache[V]) Admits(key string, size int64) bool {
+	return c != nil && int64(len(key))+size <= c.maxBytes/4
 }
 
 // Stats is a snapshot of a cache's occupancy and counters. The JSON names

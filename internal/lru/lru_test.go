@@ -54,6 +54,9 @@ func TestByteBoundCountsKeys(t *testing.T) {
 
 func TestRefusesEntriesOverQuarterBudget(t *testing.T) {
 	c := New[int](10, 100)
+	if !c.Admits("key", 22) || c.Admits("big", 23) {
+		t.Fatal("Admits disagrees with the quarter-budget rule")
+	}
 	c.Put("key", 1, 22) // 3+22 = 25 = budget/4: accepted
 	if _, ok := c.Get("key", nil); !ok {
 		t.Fatal("entry at a quarter of the budget refused")
@@ -125,6 +128,9 @@ func TestNilCache(t *testing.T) {
 	c.Put("a", 1, 0)
 	if _, ok := c.Get("a", nil); ok {
 		t.Fatal("nil cache hit")
+	}
+	if c.Admits("a", 0) {
+		t.Fatal("nil cache admits an entry")
 	}
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats %+v", st)

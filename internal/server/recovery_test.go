@@ -618,15 +618,20 @@ func TestConcurrentWritersCrashRecovery(t *testing.T) {
 		perWriter = 3
 	)
 
-	// Dry run for the step budget. Interleaving varies run to run, so the
-	// budget is a guide: trials where the crash never fires verify full
-	// recovery instead.
-	dryDir := t.TempDir()
-	dryPath := makeBase(t, dryDir, vertices)
-	dry := wal.NewFaultFS(nil)
-	drySrv := newWALServer(t, dryPath, dry)
-	concurrentCrashWorkload(drySrv, writers, perWriter)
-	steps := dry.Steps()
+	// Dry runs for the step budget. Interleaving varies run to run, and
+	// fewer, larger commit windows take fewer steps, so the budget is the
+	// larger of the concurrent run and the serialized one (every batch
+	// its own commit, the upper bound). That covers every schedule's
+	// crash points and keeps the set of cases the same from run to run;
+	// trials where the crash never fires verify full recovery instead.
+	dryRun := func(w, per int) int {
+		dryPath := makeBase(t, t.TempDir(), vertices)
+		dry := wal.NewFaultFS(nil)
+		drySrv := newWALServer(t, dryPath, dry)
+		concurrentCrashWorkload(drySrv, w, per)
+		return dry.Steps()
+	}
+	steps := max(dryRun(writers, perWriter), dryRun(1, writers*perWriter))
 
 	refDir := t.TempDir()
 	refPath := makeBase(t, refDir, vertices)

@@ -284,10 +284,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Write(append(body, '\n')) // a failed write means the client is gone
 }
 
-// writeJSONBytes writes an already-marshaled body (the result cache's
-// stored form).
+// writeJSONBytes writes an already-encoded body (the result cache's
+// stored form) with its length declared, so a large run body is not sent
+// chunked.
 func writeJSONBytes(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)+1))
 	w.WriteHeader(code)
 	w.Write(body)
 	w.Write([]byte{'\n'})
@@ -470,7 +472,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Sage-Cost-Predicted", strconv.FormatInt(est.Cost, 10))
 	w.Header().Set(GenerationHeader, strconv.FormatUint(gen, 10))
 
-	key := fmt.Sprintf("%s@%d/%s?%+v", dsName, gen, algoName, canon)
+	key := resultKey(dsName, gen, algoName, canon)
 	if e, ok := s.results.Get(key, nil); ok {
 		w.Header().Set("X-Sage-Cache", "hit")
 		body := e.body
@@ -544,27 +546,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Stats:      statsJSON(res.Stats),
 		ElapsedMS:  float64(elapsed.Microseconds()) / 1000,
 	}
-	// Marshal the response once per rendering: the bytes validate
-	// serializability before anything is cached (degenerate parameters
-	// could in principle drive float results to ±Inf, which JSON cannot
-	// carry), charge the cache's byte budget, serve this response, and
-	// serve every cache hit verbatim.
-	body, jerr := json.Marshal(resp)
+	// Encode once per rendering: the bytes validate serializability
+	// before anything is cached (degenerate parameters could in principle
+	// drive float results to ±Inf, which JSON cannot carry), charge the
+	// cache's byte budget, serve this response, and serve every cache hit
+	// verbatim. The full body is skipped when it would be neither served
+	// nor cached.
+	body, slim, jerr := s.storeRun(key, resp, includeValue || s.results != nil)
 	if jerr != nil {
 		s.runsFailed.Add(1)
 		writeError(w, http.StatusUnprocessableEntity,
 			"result not representable in JSON (non-finite values?): %v", jerr)
 		return
 	}
-	resp.Value = nil
-	slim, jerr := json.Marshal(resp)
-	if jerr != nil { // unreachable: a subset of the value just marshaled
-		s.runsFailed.Add(1)
-		writeError(w, http.StatusInternalServerError, "%v", jerr)
-		return
-	}
 	s.runsOK.Add(1)
-	s.results.Put(key, resultEntry{body: body, slim: slim}, int64(len(body)+len(slim)))
 	// The actual side of the cost contract: the run's measured counters
 	// priced under the same model that produced the prediction.
 	actual := s.engine.CostOfStats(res.Stats)
@@ -575,6 +570,46 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		body = slim
 	}
 	writeJSONBytes(w, http.StatusOK, body)
+}
+
+// storeRun encodes resp (see encodeRun) and, when the full body was
+// built, caches both renderings under key. A response that fails to
+// encode is never cached.
+func (s *Server) storeRun(key string, resp runResponse, needBody bool) (body, slim []byte, err error) {
+	body, slim, err = encodeRun(resp, needBody)
+	if err == nil && body != nil {
+		s.results.Put(key, resultEntry{body: body, slim: slim}, int64(len(body)+len(slim)))
+	}
+	return body, slim, err
+}
+
+// resultKey is a run's result-cache key: the dataset at its generation,
+// the algorithm, and every field of the canonicalized arguments, so two
+// requests share an entry exactly when they select the same computation.
+func resultKey(dataset string, gen uint64, algo string, a sage.AlgoArgs) string {
+	b := make([]byte, 0, 128)
+	b = append(b, dataset...)
+	b = append(b, '@')
+	b = strconv.AppendUint(b, gen, 10)
+	b = append(b, '/')
+	b = append(b, algo...)
+	b = append(b, "?src="...)
+	b = strconv.AppendUint(b, uint64(a.Src), 10)
+	b = append(b, "&k="...)
+	b = strconv.AppendInt(b, int64(a.K), 10)
+	b = append(b, "&eps="...)
+	b = strconv.AppendFloat(b, a.Eps, 'g', -1, 64)
+	b = append(b, "&maxiters="...)
+	b = strconv.AppendInt(b, int64(a.MaxIters), 10)
+	b = append(b, "&beta="...)
+	b = strconv.AppendFloat(b, a.Beta, 'g', -1, 64)
+	b = append(b, "&damping="...)
+	b = strconv.AppendFloat(b, a.Damping, 'g', -1, 64)
+	b = append(b, "&numsets="...)
+	b = strconv.AppendUint(b, uint64(a.NumSets), 10)
+	b = append(b, "&maxsize="...)
+	b = strconv.AppendInt(b, int64(a.MaxSize), 10)
+	return string(b)
 }
 
 // statusClientClosedRequest is nginx's conventional code for a request

@@ -255,15 +255,24 @@ func TestGroupCommitCrashEveryStep(t *testing.T) {
 			name = "rotating"
 		}
 		t.Run(name, func(t *testing.T) {
-			dryDir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dryDir, "g.sg"), []byte("base"), 0o644); err != nil {
-				t.Fatal(err)
+			// How many mutations a run makes depends on how the scheduler
+			// groups commits: fewer, larger groups take fewer steps. The
+			// serialized run (every batch its own commit) is the upper
+			// bound, so enumerating up to it covers every schedule's crash
+			// points and keeps the set of cases the same from run to run.
+			// Points past a given run's last mutation are the no-crash case.
+			dryRun := func(w, per int) int {
+				dryDir := t.TempDir()
+				if err := os.WriteFile(filepath.Join(dryDir, "g.sg"), []byte("base"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				dry := NewFaultFS(nil)
+				if _, err := crashWorkload(dryDir, dry, w, per, rotate); err != nil {
+					t.Fatalf("dry run: %v", err)
+				}
+				return dry.Steps()
 			}
-			dry := NewFaultFS(nil)
-			if _, err := crashWorkload(dryDir, dry, writers, perWriter, rotate); err != nil {
-				t.Fatalf("dry run: %v", err)
-			}
-			steps := dry.Steps()
+			steps := max(dryRun(writers, perWriter), dryRun(1, writers*perWriter))
 			if steps < 3+writers*perWriter {
 				t.Fatalf("only %d steps in the dry run", steps)
 			}
