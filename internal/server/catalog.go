@@ -22,17 +22,43 @@ import (
 var errUnknownDataset = errors.New("unknown dataset")
 
 type catalog struct {
-	mu    sync.Mutex
-	paths map[string]string // name -> path
-	cache *store.Cache
-	opts  store.OpenOptions
+	mu       sync.Mutex
+	datasets map[string]*dataset // the one name -> record map
+	cache    *store.Cache
+	opts     store.OpenOptions
+}
+
+// dataset is one registered dataset's record: its stored path plus the
+// write state the update layer keeps for it (updates.go, durability.go).
+// add creates it; every later lookup by name goes through the catalog.
+type dataset struct {
+	name, path string
+
+	// mu is the writer mutex: building, staging and publishing a batch,
+	// WAL recovery and compaction hold it. Runs never take it, and a
+	// writer releases it while its commit window's fsync runs.
+	mu sync.Mutex
+
+	// The fields below are guarded by updates.mu: runs and metrics read
+	// them, and close() resets them, without holding mu. Apart from
+	// close(), version, gen, staged and disarmed change only while mu
+	// is held too; the walState is also updated by committers that have
+	// released mu.
+	version *snapVersion // published overlay; nil serves the plain base
+	gen     uint64       // generation of the latest publish or compaction
+	// staged is the staged chain: batches whose WAL records are
+	// buffered or durable but not yet published, in WAL order. Each
+	// entry's snapshot includes every entry before it.
+	staged   []*stagedBatch
+	wal      *walState // nil until recovery first runs (or after close)
+	disarmed bool      // auto-compaction fired; re-arms below the low mark
 }
 
 func newCatalog(budgetWords int64, copyOpen bool) *catalog {
 	return &catalog{
-		paths: map[string]string{},
-		cache: store.NewCache(budgetWords),
-		opts:  store.OpenOptions{Copy: copyOpen},
+		datasets: map[string]*dataset{},
+		cache:    store.NewCache(budgetWords),
+		opts:     store.OpenOptions{Copy: copyOpen},
 	}
 }
 
@@ -56,44 +82,40 @@ func (c *catalog) add(name, path string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.paths[name]; dup {
+	if _, dup := c.datasets[name]; dup {
 		return fmt.Errorf("dataset %q registered twice", name)
 	}
-	c.paths[name] = path
+	c.datasets[name] = &dataset{name: name, path: path}
 	return nil
 }
 
-// names returns the registered dataset names in sorted order.
-func (c *catalog) names() []string {
+// all returns every registered dataset's record, sorted by name.
+func (c *catalog) all() []*dataset {
 	c.mu.Lock()
-	out := make([]string, 0, len(c.paths))
-	for name := range c.paths {
-		out = append(out, name)
+	out := make([]*dataset, 0, len(c.datasets))
+	for _, d := range c.datasets {
+		out = append(out, d)
 	}
 	c.mu.Unlock()
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 
-// path resolves a dataset name to its stored path.
-func (c *catalog) path(name string) (string, error) {
+// get resolves a dataset name to its record.
+func (c *catalog) get(name string) (*dataset, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	path, ok := c.paths[name]
+	d, ok := c.datasets[name]
 	if !ok {
-		return "", fmt.Errorf("%w %q", errUnknownDataset, name)
+		return nil, fmt.Errorf("%w %q", errUnknownDataset, name)
 	}
-	return path, nil
+	return d, nil
 }
 
-// acquire returns a refcounted handle on the named dataset, opening it if
+// acquire returns a refcounted handle on d's stored graph, opening it if
 // needed. The caller must Release it when the run completes.
-func (c *catalog) acquire(name string) (*store.Handle, error) {
-	path, err := c.path(name)
-	if err != nil {
-		return nil, err
-	}
-	return c.cache.Acquire(path, c.opts)
+func (c *catalog) acquire(d *dataset) (*store.Handle, error) {
+	return c.cache.Acquire(d.path, c.opts)
 }
 
 // datasetInfo is one /v1/datasets entry. The graph-shape fields are
@@ -126,38 +148,22 @@ type datasetInfo struct {
 	ReadOnlyReason string `json:"read_only_reason,omitempty"`
 }
 
-// list returns the catalog sorted by name.
-func (c *catalog) list() []datasetInfo {
-	c.mu.Lock()
-	names := make([]string, 0, len(c.paths))
-	for name := range c.paths {
-		names = append(names, name)
+// info describes d's stored base for /v1/datasets.
+func (c *catalog) info(d *dataset) datasetInfo {
+	info := datasetInfo{Name: d.name, Path: d.path}
+	if h, ok := c.cache.AcquireCached(d.path); ok {
+		ds := h.Dataset()
+		info.Open = true
+		info.Generation = h.Generation()
+		info.Vertices = ds.Adj().NumVertices()
+		info.Edges = ds.Adj().NumEdges()
+		info.Weighted = ds.Adj().Weighted()
+		info.Compressed = ds.CSR() == nil
+		info.Mapped = ds.Mapped()
+		info.SizeWords = ds.SizeWords()
+		h.Release()
 	}
-	paths := make(map[string]string, len(c.paths))
-	for name, path := range c.paths {
-		paths[name] = path
-	}
-	c.mu.Unlock()
-	sort.Strings(names)
-
-	out := make([]datasetInfo, 0, len(names))
-	for _, name := range names {
-		info := datasetInfo{Name: name, Path: paths[name]}
-		if h, ok := c.cache.AcquireCached(paths[name]); ok {
-			ds := h.Dataset()
-			info.Open = true
-			info.Generation = h.Generation()
-			info.Vertices = ds.Adj().NumVertices()
-			info.Edges = ds.Adj().NumEdges()
-			info.Weighted = ds.Adj().Weighted()
-			info.Compressed = ds.CSR() == nil
-			info.Mapped = ds.Mapped()
-			info.SizeWords = ds.SizeWords()
-			h.Release()
-		}
-		out = append(out, info)
-	}
-	return out
+	return info
 }
 
 // close releases every idle dataset.

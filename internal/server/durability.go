@@ -12,11 +12,12 @@ package server
 // the log.
 //
 // Writes to one dataset do not serialize on the fsync: a batch is staged
-// into the log under the dataset lock (wal.Log.AppendBuffer), then the
-// lock is released while the group-commit barrier (wal.Log.Commit) runs —
+// into the log under the writer mutex (wal.Log.AppendBuffer), then the
+// mutex is released while the group-commit barrier (wal.Log.Commit) runs —
 // one leader fsync acknowledges every batch buffered in the window. The
-// next writer chains onto the staged tip (see stagedBatch in updates.go),
-// so N concurrent writers pay ~1 fsync per window instead of N.
+// next writer chains onto the staged chain's tail (see the package
+// comment in updates.go), so N concurrent writers pay ~1 fsync per window
+// instead of N.
 //
 // Under a segment cap (Durability.SegmentBytes) the log rotates into a
 // fingerprint-linked chain of sealed segments (<path>.wal.1, .wal.2, …);
@@ -68,15 +69,14 @@ var errReadOnly = errors.New("dataset is read-only: write-ahead log unavailable"
 
 // walState is one dataset's durability state. All fields are guarded by
 // updates.mu: the log pointer is read by metrics and by committers that
-// have already released the dataset lock, and close() swaps it to nil
-// without holding any dataset lock. The wal.Log itself is internally
+// have already released the writer mutex, and close() swaps it to nil
+// without holding any writer mutex. The wal.Log itself is internally
 // synchronized, so holders of a snapshotted pointer stay safe across a
 // concurrent swap.
 type walState struct {
 	log      *wal.Log // nil when the log could not be opened
 	readOnly bool
 	reason   string // degradation cause, "" when healthy
-	replayed int    // batches recovered when the log was opened
 }
 
 // logOf snapshots ws's log pointer under updates.mu.
@@ -109,28 +109,27 @@ func (u *updates) setWALHealth(ws *walState, err error) {
 	}
 }
 
-// walInfo reports name's durability state for listings: whether the
+// walInfo reports d's durability state for listings: whether the
 // dataset is currently read-only and why.
-func (u *updates) walInfo(name string) (readOnly bool, reason string) {
+func (u *updates) walInfo(d *dataset) (readOnly bool, reason string) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if ws, ok := u.walStates[name]; ok {
-		return ws.readOnly, ws.reason
+	if d.wal != nil {
+		return d.wal.readOnly, d.wal.reason
 	}
 	return false, ""
 }
 
-// recoverLocked opens name's WAL and replays surviving records onto the
+// recoverLocked opens d's WAL and replays surviving records onto the
 // stored base, installing the recovered snapshot as the current version.
-// It runs once per dataset — the walStates entry memoizes the outcome,
-// including failure (the dataset is then read-only until a retried
-// recovery succeeds). The caller holds the dataset update lock.
-func (u *updates) recoverLocked(name, path string) *walState {
+// It runs once per dataset — the record's wal field memoizes the
+// outcome, including failure (the dataset is then read-only until a
+// retried recovery succeeds). The caller holds d.mu.
+func (u *updates) recoverLocked(d *dataset) *walState {
 	u.mu.Lock()
-	ws, ok := u.walStates[name]
-	closed := u.closed
+	ws, closed := d.wal, u.closed
 	u.mu.Unlock()
-	if ok {
+	if ws != nil {
 		return ws
 	}
 	ws = &walState{}
@@ -141,31 +140,30 @@ func (u *updates) recoverLocked(name, path string) *walState {
 		ws.readOnly, ws.reason = true, errShuttingDown.Error()
 		return ws
 	}
-	defer func() {
-		u.mu.Lock()
-		if u.closed {
-			// close() ran while we were opening: hand the log straight
-			// back instead of registering it.
-			log := ws.log
-			ws.log = nil
-			u.mu.Unlock()
-			if log != nil {
-				_ = log.Close()
-			}
-			return
-		}
-		u.walStates[name] = ws
+	u.openSegment(ws, d)
+	u.mu.Lock()
+	if !u.closed {
+		d.wal = ws
 		u.mu.Unlock()
-	}()
-	u.openSegment(ws, name, path)
+		return ws
+	}
+	// close() ran while we were opening: hand the log straight back
+	// instead of registering it.
+	log := ws.log
+	ws.log = nil
+	u.mu.Unlock()
+	if log != nil {
+		_ = log.Close()
+	}
 	return ws
 }
 
 // openSegment fingerprints the container, opens (or creates) its WAL
 // chain, and replays surviving records. On any failure the dataset is
 // left read-only with the cause as the machine-readable reason; reads
-// keep serving the base. Caller holds the dataset update lock.
-func (u *updates) openSegment(ws *walState, name, path string) {
+// keep serving the base. Caller holds d.mu.
+func (u *updates) openSegment(ws *walState, d *dataset) {
+	path := d.path
 	fp, err := wal.FingerprintFile(u.wcfg.FS, path)
 	if err != nil {
 		u.setWALHealth(ws, fmt.Errorf("fingerprinting container: %w", err))
@@ -192,12 +190,12 @@ func (u *updates) openSegment(ws *walState, name, path string) {
 	// succeeded, and successful recoveries never rerun; guard anyway so a
 	// logic error cannot double-apply batches.
 	u.mu.Lock()
-	hasVersion := u.versions[name] != nil
+	hasVersion := d.version != nil
 	u.mu.Unlock()
 	if hasVersion {
 		return
 	}
-	h, err := u.catalog.acquire(name)
+	h, err := u.catalog.acquire(d)
 	if err != nil {
 		_ = log.Close() // abandoning the log; the open error is the story
 		u.setLog(ws, nil)
@@ -224,9 +222,6 @@ func (u *updates) openSegment(ws *walState, name, path string) {
 		replayed++
 	}
 	u.walReplayed.Add(int64(replayed))
-	u.mu.Lock()
-	ws.replayed = replayed
-	u.mu.Unlock()
 	if snap.DeltaWords() == 0 {
 		// The surviving batches cancel out (or were all no-ops): the base
 		// is already the recovered state.
@@ -237,54 +232,48 @@ func (u *updates) openSegment(ws *walState, name, path string) {
 	gen := u.catalog.cache.Bump(path) //sage:allow walorder
 	nv := &snapVersion{snap: snap, gen: gen, ds: h.Dataset(), h: h, refs: 1}
 	u.mu.Lock()
-	u.versions[name] = nv
+	d.version = nv
 	u.mu.Unlock()
 }
 
-// ensureRecovered replays name's surviving WAL records (once) before a
-// read or write observes the dataset. Cheap after the first call.
-func (u *updates) ensureRecovered(name string) {
+// ensureRecovered replays d's surviving WAL records (once) before a read
+// or write observes the dataset. Cheap after the first call.
+func (u *updates) ensureRecovered(d *dataset) {
 	if !u.wcfg.Enabled {
 		return
 	}
 	u.mu.Lock()
-	_, done := u.walStates[name]
+	done := d.wal != nil
 	u.mu.Unlock()
 	if done {
 		return
 	}
-	path, err := u.catalog.path(name)
-	if err != nil {
-		return // unknown dataset: the caller surfaces the 404
-	}
-	l := u.lockDataset(name)
-	l.Lock()
-	defer l.Unlock()
-	u.recoverLocked(name, path)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	u.recoverLocked(d)
 }
 
 // walStage buffers one batch into the dataset's log, chained after the
-// in-flight group-commit window (after is the staged tip's ticket, nil
-// when the window is empty). The record has a sequence number but is not
-// durable yet — walCommit drives the barrier. A wal.ErrStaleChain return
-// means the window this batch extended rolled back with its failed group
-// fsync; the caller rebases onto the published state and restages. Any
-// other failure degrades the dataset to read-only. Caller holds the
-// dataset update lock.
-func (u *updates) walStage(ws *walState, name string, log *wal.Log, ops []sage.EdgeOp, after *wal.Pending) (*wal.Pending, error) {
+// staged chain's tail (after is the tail's wal.Pending, nil when the
+// chain is empty). The record has a sequence number but is not durable
+// yet — walCommit drives the barrier. A wal.ErrStaleChain return means
+// the window the tail belongs to failed its group fsync; the caller
+// drops the failed suffix and restages on what remains. Any other
+// failure degrades the dataset to read-only. Caller holds d.mu.
+func (u *updates) walStage(ws *walState, d *dataset, log *wal.Log, ops []sage.EdgeOp, after *wal.Pending) (*wal.Pending, error) {
 	if log == nil {
 		u.readOnlyRejected.Add(1)
-		_, reason := u.walInfo(name)
-		return nil, fmt.Errorf("%w (dataset %q): %s", errReadOnly, name, reason)
+		_, reason := u.walInfo(d)
+		return nil, fmt.Errorf("%w (dataset %q): %s", errReadOnly, d.name, reason)
 	}
 	p, err := log.AppendBuffer(walOps(ops), after)
 	if err != nil {
 		if errors.Is(err, wal.ErrStaleChain) {
-			return nil, err // internal signal: rebase and restage
+			return nil, err // internal signal: drop the failed suffix and restage
 		}
 		u.setWALHealth(ws, err)
 		u.readOnlyRejected.Add(1)
-		return nil, fmt.Errorf("%w (dataset %q): %v", errReadOnly, name, err)
+		return nil, fmt.Errorf("%w (dataset %q): %v", errReadOnly, d.name, err)
 	}
 	return p, nil
 }
@@ -293,9 +282,10 @@ func (u *updates) walStage(ws *walState, name string, log *wal.Log, ops []sage.E
 // returns once a leader fsync (ours or a concurrent committer's) has made
 // the batch durable per the configured policy, before the overlay becomes
 // visible. A failure degrades the dataset to read-only and rejects the
-// write — the log rolled the whole window back, so the next attempt
-// probes a clean tail and the dataset recovers without intervention. The
-// caller does NOT need the dataset update lock: that is the point.
+// write — the log rolled the window back to its durable prefix, so the
+// next attempt probes a clean tail and the dataset recovers without
+// intervention. The caller does NOT need the writer mutex: that is the
+// point.
 //
 //sage:durable-append
 func (u *updates) walCommit(ws *walState, name string, log *wal.Log, p *wal.Pending) error {
@@ -318,14 +308,14 @@ func (u *updates) walCommit(ws *walState, name string, log *wal.Log, p *wal.Pend
 	return nil
 }
 
-// retireSegment retires name's WAL chain after a compaction durably
+// retireSegment retires d's WAL chain after a compaction durably
 // replaced the container: the folded records must never replay onto the
 // new generation. Even if the process dies before the removal lands, the
 // stale chain's base fingerprint no longer matches the rewritten
 // container, so recovery discards it — removal is cleanup, not
 // correctness. A fresh log is then opened for the new generation.
-// Caller holds the dataset update lock.
-func (u *updates) retireSegment(ws *walState, name, path string) {
+// Caller holds d.mu.
+func (u *updates) retireSegment(ws *walState, d *dataset) {
 	if ws == nil {
 		return
 	}
@@ -336,7 +326,7 @@ func (u *updates) retireSegment(ws *walState, name, path string) {
 		log.CloseAndRemove() //sage:allow syncerr
 		u.setLog(ws, nil)
 	}
-	u.openSegment(ws, name, path)
+	u.openSegment(ws, d)
 }
 
 // walSnapshot reports the durability layer for /metrics, aggregating the
@@ -346,9 +336,14 @@ func (u *updates) walSnapshot() walStats {
 	if !u.wcfg.Enabled {
 		return s
 	}
+	datasets := u.catalog.all()
 	var logs []*wal.Log
 	u.mu.Lock()
-	for _, ws := range u.walStates {
+	for _, d := range datasets {
+		ws := d.wal
+		if ws == nil {
+			continue
+		}
 		if ws.readOnly {
 			s.ReadOnlyDatasets++
 		}

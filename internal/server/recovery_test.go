@@ -161,7 +161,7 @@ func fileSum(t *testing.T, path string) [sha256.Size]byte {
 func applyUntilError(s *Server, batches [][]sage.EdgeOp) int {
 	acked := 0
 	for _, b := range batches {
-		if _, err := s.updates.apply("g", b, false); err != nil {
+		if _, err := s.updates.apply("g", b, false, 0); err != nil {
 			break
 		}
 		acked++
@@ -313,7 +313,7 @@ func TestCompactRetiresSegment(t *testing.T) {
 
 	srv := newWALServer(t, path, nil)
 	applyUntilError(srv, batches)
-	if _, err := srv.updates.apply("g", nil, true); err != nil {
+	if _, err := srv.updates.apply("g", nil, true, 0); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
 	info, err := os.Stat(path + WALSuffix)
@@ -361,7 +361,7 @@ func compactionFailureCase(t *testing.T, stage string) {
 	// a failed fold is NOT an error: the request succeeds with the
 	// failure reported in-band through compactErr (HTTP 200 with
 	// compact_error), and the served state stands.
-	res, err := srv.updates.apply("g", nil, true)
+	res, err := srv.updates.apply("g", nil, true, 0)
 	if err != nil {
 		t.Fatalf("compaction failure surfaced as a request error at stage %q: %v", stage, err)
 	}
@@ -447,7 +447,7 @@ func TestCrashBetweenRenameAndRetire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.updates.apply("g", nil, true); err != nil {
+	if _, err := srv.updates.apply("g", nil, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	_ = srv.Close()
@@ -520,7 +520,7 @@ func TestCompactErrorOverHTTP(t *testing.T) {
 // TestCloseUpdateRace races close() against in-flight writers and
 // readers: whatever side relocks first, the closed flag must keep any
 // writer from reopening a WAL segment or republishing a version after
-// shutdown tore the maps down.
+// shutdown tore the dataset's record down.
 func TestCloseUpdateRace(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		dir := t.TempDir()
@@ -536,7 +536,7 @@ func TestCloseUpdateRace(t *testing.T) {
 				<-start
 				for i := 0; ; i++ {
 					op := sage.EdgeOp{U: uint32(w), V: uint32(8 + i%8)}
-					if _, err := srv.updates.apply("g", []sage.EdgeOp{op}, false); err != nil {
+					if _, err := srv.updates.apply("g", []sage.EdgeOp{op}, false, 0); err != nil {
 						if !errors.Is(err, errShuttingDown) && !errors.Is(err, errReadOnly) {
 							t.Errorf("writer %d: unexpected error: %v", w, err)
 						}
@@ -562,15 +562,19 @@ func TestCloseUpdateRace(t *testing.T) {
 		}
 		wg.Wait()
 
+		d, err := srv.catalog.get("g")
+		if err != nil {
+			t.Fatal(err)
+		}
 		srv.updates.mu.Lock()
 		closed := srv.updates.closed
-		nStates, nStaged, nVersions := len(srv.updates.walStates), len(srv.updates.staged), len(srv.updates.versions)
+		hasWAL, nStaged, hasVersion := d.wal != nil, len(d.staged), d.version != nil
 		srv.updates.mu.Unlock()
-		if !closed || nStates != 0 || nStaged != 0 || nVersions != 0 {
-			t.Fatalf("trial %d: state repopulated after close: walStates=%d staged=%d versions=%d",
-				trial, nStates, nStaged, nVersions)
+		if !closed || hasWAL || nStaged != 0 || hasVersion {
+			t.Fatalf("trial %d: record repopulated after close: wal=%v staged=%d version=%v",
+				trial, hasWAL, nStaged, hasVersion)
 		}
-		if _, err := srv.updates.apply("g", []sage.EdgeOp{{U: 0, V: 9}}, false); !errors.Is(err, errShuttingDown) {
+		if _, err := srv.updates.apply("g", []sage.EdgeOp{{U: 0, V: 9}}, false, 0); !errors.Is(err, errShuttingDown) {
 			t.Fatalf("trial %d: write after close: %v", trial, err)
 		}
 	}
@@ -592,7 +596,7 @@ func concurrentCrashWorkload(srv *Server, writers, perWriter int) []int {
 			<-start
 			for i := 0; i < perWriter; i++ {
 				op := sage.EdgeOp{U: uint32(w), V: uint32(8 + w*perWriter + i)}
-				if _, err := srv.updates.apply("g", []sage.EdgeOp{op}, false); err != nil {
+				if _, err := srv.updates.apply("g", []sage.EdgeOp{op}, false, 0); err != nil {
 					return
 				}
 				acked[w]++

@@ -172,7 +172,11 @@ func (s *Server) AddDataset(name, path string) error { return s.catalog.add(name
 // instead of a request). The dataset stays cached under the usual LRU
 // budget rules.
 func (s *Server) Preload(name string) error {
-	h, err := s.catalog.acquire(name)
+	d, err := s.catalog.get(name)
+	if err != nil {
+		return err
+	}
+	h, err := s.catalog.acquire(d)
 	if err != nil {
 		return err
 	}
@@ -188,12 +192,13 @@ func (s *Server) Preload(name string) error {
 // completes). It returns the number of batches replayed and the names of
 // datasets left read-only because their segment could not be opened.
 func (s *Server) Recover() (replayed int, degraded []string) {
-	for _, name := range s.catalog.names() {
-		s.updates.ensureRecovered(name)
+	datasets := s.catalog.all()
+	for _, d := range datasets {
+		s.updates.ensureRecovered(d)
 	}
-	for _, name := range s.catalog.names() {
-		if ro, _ := s.updates.walInfo(name); ro {
-			degraded = append(degraded, name)
+	for _, d := range datasets {
+		if ro, _ := s.updates.walInfo(d); ro {
+			degraded = append(degraded, d.name)
 		}
 	}
 	s.ready.Store(true)
@@ -336,11 +341,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
-	infos := s.catalog.list()
-	for i := range infos {
+	datasets := s.catalog.all()
+	infos := make([]datasetInfo, len(datasets))
+	for i, d := range datasets {
+		infos[i] = s.catalog.info(d)
 		// Overlay the update state: a dataset with live batch updates
 		// reports its current snapshot's generation and merged edge count.
-		if v := s.updates.pin(infos[i].Name); v != nil {
+		if v := s.updates.pin(d); v != nil {
 			infos[i].Generation = v.gen
 			infos[i].Edges = v.snap.NumEdges()
 			infos[i].DeltaWords = v.snap.DeltaWords()
@@ -348,7 +355,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, _ *http.Request) {
 			infos[i].OverlayCostPredicted = s.updates.overlayCost(v.snap)
 			s.updates.unref(v)
 		}
-		infos[i].ReadOnly, infos[i].ReadOnlyReason = s.updates.walInfo(infos[i].Name)
+		infos[i].ReadOnly, infos[i].ReadOnlyReason = s.updates.walInfo(d)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"datasets": infos})
 }
@@ -427,7 +434,7 @@ const GenerationHeader = "X-Sage-Generation"
 
 // SyncGenerationHeader is an update-request header carrying a generation
 // floor: the batch's published generation is raised to at least this
-// value (see updates.applySync). The cluster router sets it when fanning
+// value (see updates.apply). The cluster router sets it when fanning
 // an update out to secondary owners so all owners agree on the batch's
 // generation; clients normally never send it.
 const SyncGenerationHeader = "X-Sage-Sync-Generation"
@@ -668,7 +675,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		minGen = g
 	}
 	start := time.Now()
-	res, err := s.updates.applySync(dsName, req.Ops, req.Compact, minGen)
+	res, err := s.updates.apply(dsName, req.Ops, req.Compact, minGen)
 	if err != nil {
 		switch {
 		case errors.Is(err, errUnknownDataset):

@@ -8,7 +8,7 @@ package server
 //   - Every run pins the snapshot version current when it was admitted;
 //     an update arriving mid-run swaps the current version without
 //     touching pinned ones, and a version's base mapping is released only
-//     when the map reference and every pinned run are gone.
+//     when the record's reference and every pinned run are gone.
 //   - Each swap bumps the dataset's generation through store.Cache.Bump,
 //     so result-cache keys (generation, algo, args) from older versions
 //     can never answer a query against the new one.
@@ -17,19 +17,28 @@ package server
 //     cache entry so new requests map the compacted file, and drops the
 //     overlay; in-flight runs finish on the detached old mapping.
 //
-// Concurrent writers to one dataset do not serialize on the fsync. A
-// batch is built and staged under the dataset update lock — its WAL
-// record buffered with a sequence number (wal.Log.AppendBuffer), its
-// snapshot installed as the dataset's staged tip — then the lock is
-// released while the group-commit barrier (wal.Log.Commit) runs. The
-// next writer chains onto the tip's snapshot and pending ticket, so a
-// window of N batches shares one leader fsync. Publication happens back
-// under the lock, ordered by per-dataset tickets: a writer that finds a
-// later ticket already published was superseded — its ops are included
-// in the published snapshot — and reports that generation instead of
-// publishing stale state. A failed group fsync rolls the whole window
-// back (no batch in it was acknowledged), and a writer staged on the
-// rolled-back tip rebases onto the last published state.
+// Concurrent writers to one dataset do not serialize on the fsync. All
+// of a dataset's write state lives in its catalog record (see dataset in
+// catalog.go), including the staged chain: the batches whose WAL records
+// are buffered or durable but not yet published, in WAL order. Four
+// rules keep it consistent:
+//
+//   - Build: a writer builds its batch on the chain's tail (or on the
+//     published version when the chain is empty), buffers its WAL record
+//     chained after the tail's (wal.Log.AppendBuffer), appends itself to
+//     the chain and releases the writer mutex for the group-commit
+//     barrier (wal.Log.Commit), so a window of N batches shares one fsync.
+//   - Publish: once its own commit succeeds, the writer relocks and
+//     publishes its own snapshot — which includes every earlier entry,
+//     all durable because a group fsync makes a prefix of the log
+//     durable — and drops every entry up to and including its own.
+//   - Superseded: a writer whose entry is already gone when it relocks
+//     was folded in by a later publish or a compaction; it reports the
+//     record's latest generation instead of publishing stale state.
+//   - Failure: a failed commit, a wal.ErrStaleChain rebase or a
+//     compaction's flush drops only the failed suffix of the chain,
+//     found by committing each entry in order (dropFailed). Nothing
+//     durable is ever rebased away: it stays staged until it publishes.
 //
 // The delta budget bounds each dataset's overlay DRAM words — the PSAM
 // small-memory account the overlay lives in. A batch that would exceed it
@@ -49,6 +58,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -66,7 +76,7 @@ var errShuttingDown = errors.New("server is shutting down")
 
 // snapVersion is one published snapshot of a dataset: the overlay view,
 // its logical generation, and the cache handle pinning the base mapping.
-// refs counts the updates-map reference plus every in-flight run.
+// refs counts the record's reference plus every in-flight run.
 type snapVersion struct {
 	snap *sage.Snapshot
 	gen  uint64
@@ -75,21 +85,23 @@ type snapVersion struct {
 	refs int // guarded by updates.mu
 }
 
-// stagedBatch is a dataset's group-commit tip: the newest batch whose WAL
-// record is buffered (possibly mid-fsync) but whose overlay is not yet
-// published. The next writer chains its batch onto snap and p instead of
-// waiting for the window to flush. The staging writer stays in flight
-// until it publishes or is superseded, and holds its own base pin for
-// that whole span, so snap's base mapping cannot be released while the
-// tip is live.
+// stagedBatch is one entry of a dataset's staged chain: a batch whose WAL
+// record is buffered in log (possibly mid-fsync) or durable, but whose
+// overlay is not yet published. The next writer builds on snap and
+// chains its record after p instead of waiting for the window to flush.
+// The staging writer stays in flight until its entry publishes, is
+// folded into a later publish, or is dropped as failed, and holds its
+// own base pin for that whole span, so snap's base mapping cannot be
+// released while the entry is staged.
 type stagedBatch struct {
-	snap   *sage.Snapshot
-	ds     *store.Dataset
-	p      *wal.Pending
-	ticket uint64
+	snap *sage.Snapshot
+	ds   *store.Dataset
+	log  *wal.Log // the log p belongs to
+	p    *wal.Pending
 }
 
-// updates owns the per-dataset snapshot versions and serializes batches.
+// updates owns the write path: batch building, the staged chain,
+// publication and compaction, over the records in catalog.
 type updates struct {
 	catalog *catalog
 	budget  int64      // max overlay DRAM words per dataset; 0 = unlimited
@@ -101,16 +113,13 @@ type updates struct {
 	autoHigh int64
 	autoLow  int64
 
-	mu        sync.Mutex
-	closed    bool // set by close(); no log may be opened or state published after
-	versions  map[string]*snapVersion
-	locks     map[string]*sync.Mutex  // per-dataset update serialization
-	walStates map[string]*walState    // per-dataset durability state
-	staged    map[string]*stagedBatch // per-dataset group-commit tip
-	tickets   map[string]uint64       // last publication ticket issued
-	published map[string]uint64       // highest ticket actually published
-	pubGen    map[string]uint64       // generation of that publication
-	armed     map[string]bool         // auto-compaction hysteresis state
+	// afterCommit, when non-nil, runs between a staged batch's commit and
+	// its writer's relock, with the commit's error. Always nil outside
+	// tests, which use it to pin interleavings.
+	afterCommit func(error)
+
+	mu     sync.Mutex // guards closed and every record's write state
+	closed bool       // set by close(); no log may be opened or state published after
 
 	batches           atomic.Int64
 	opsApplied        atomic.Int64
@@ -129,20 +138,12 @@ func newUpdates(c *catalog, budgetWords int64, wcfg Durability, model costmodel.
 		wcfg.FS = wal.OS
 	}
 	return &updates{
-		catalog:   c,
-		budget:    budgetWords,
-		wcfg:      wcfg,
-		model:     model,
-		autoHigh:  autoCompactCost,
-		autoLow:   autoCompactCost / 2,
-		versions:  map[string]*snapVersion{},
-		locks:     map[string]*sync.Mutex{},
-		walStates: map[string]*walState{},
-		staged:    map[string]*stagedBatch{},
-		tickets:   map[string]uint64{},
-		published: map[string]uint64{},
-		pubGen:    map[string]uint64{},
-		armed:     map[string]bool{},
+		catalog:  c,
+		budget:   budgetWords,
+		wcfg:     wcfg,
+		model:    model,
+		autoHigh: autoCompactCost,
+		autoLow:  autoCompactCost / 2,
 	}
 }
 
@@ -152,12 +153,12 @@ func (u *updates) overlayCost(snap *sage.Snapshot) int64 {
 	return costmodel.OverlayOverhead(&u.model, snap.DeltaWords(), added, deleted)
 }
 
-// pin returns the dataset's current snapshot version, refcounted, or nil
-// when it has no overlay. The caller must unref it when its run ends.
-func (u *updates) pin(name string) *snapVersion {
+// pin returns d's current snapshot version, refcounted, or nil when it
+// has no overlay. The caller must unref it when its run ends.
+func (u *updates) pin(d *dataset) *snapVersion {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	v := u.versions[name]
+	v := d.version
 	if v != nil {
 		v.refs++
 	}
@@ -175,18 +176,6 @@ func (u *updates) unref(v *snapVersion) {
 	}
 }
 
-// lockDataset serializes updates to one dataset (runs are not blocked).
-func (u *updates) lockDataset(name string) *sync.Mutex {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	l, ok := u.locks[name]
-	if !ok {
-		l = &sync.Mutex{}
-		u.locks[name] = l
-	}
-	return l
-}
-
 // isClosed reports whether close() has begun.
 func (u *updates) isClosed() bool {
 	u.mu.Lock()
@@ -194,94 +183,59 @@ func (u *updates) isClosed() bool {
 	return u.closed
 }
 
-// stagedOf returns name's group-commit tip, nil when no window is open.
-func (u *updates) stagedOf(name string) *stagedBatch {
+// dropFailed applies the chain's failure rule: it commits d's staged
+// entries in WAL order, through last (the whole chain when last is nil),
+// and drops the chain from the first entry that is not durable. A group
+// fsync makes a prefix of the log durable and fails everything after it,
+// so the failed entries form a suffix and every entry kept is durable;
+// its writer publishes it, or a later publish folds it in. Commit waits
+// out a window still in flight. Caller holds d.mu.
+func (u *updates) dropFailed(d *dataset, last *stagedBatch) {
 	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.staged[name]
-}
-
-// stageTip installs sb as name's tip and assigns its publication ticket.
-// Caller holds the dataset update lock.
-func (u *updates) stageTip(name string, sb *stagedBatch) uint64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.tickets[name]++
-	sb.ticket = u.tickets[name]
-	u.staged[name] = sb
-	return sb.ticket
-}
-
-// newTicket issues a publication ticket for an unstaged (lock-held)
-// publish, so later superseded writers order against it too.
-func (u *updates) newTicket(name string) uint64 {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.tickets[name]++
-	return u.tickets[name]
-}
-
-// clearStaged drops name's tip unconditionally (its window rolled back).
-func (u *updates) clearStaged(name string) {
-	u.mu.Lock()
-	delete(u.staged, name)
+	chain := d.staged
 	u.mu.Unlock()
-}
-
-// clearStagedIf drops name's tip only if it is still ticket's batch — a
-// later writer may have staged on top, and their tip must survive.
-func (u *updates) clearStagedIf(name string, ticket uint64) {
-	u.mu.Lock()
-	if sb := u.staged[name]; sb != nil && sb.ticket == ticket {
-		delete(u.staged, name)
+	if last != nil {
+		i := slices.Index(chain, last)
+		if i < 0 {
+			return // already dropped with an earlier failed suffix
+		}
+		chain = chain[:i+1]
 	}
-	u.mu.Unlock()
-}
-
-// supersededGen reports whether a batch with a ticket at or past this one
-// already published — in which case this batch's ops are part of the
-// published snapshot and gen is the generation to report.
-func (u *updates) supersededGen(name string, ticket uint64) (gen uint64, ok bool) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.published[name] >= ticket {
-		return u.pubGen[name], true
+	for i, e := range chain {
+		if e.log.Commit(e.p) != nil {
+			u.mu.Lock()
+			if len(d.staged) > i { // close() may have emptied the chain
+				clear(d.staged[i:]) // release the dropped snapshots
+				d.staged = d.staged[:i]
+			}
+			u.mu.Unlock()
+			return
+		}
 	}
-	return 0, false
-}
-
-// markPublished records ticket's publication at gen and retires its tip.
-// Caller holds the dataset update lock (publications are serialized).
-func (u *updates) markPublished(name string, ticket, gen uint64) {
-	u.mu.Lock()
-	if ticket > u.published[name] {
-		u.published[name], u.pubGen[name] = ticket, gen
-	}
-	if sb := u.staged[name]; sb != nil && sb.ticket == ticket {
-		delete(u.staged, name)
-	}
-	u.mu.Unlock()
 }
 
 // deltaStats gathers the per-dataset overlay footprints and their
 // predicted traversal overheads, for /metrics: the aggregate counters
 // alone cannot tell which dataset's overlay is the expensive one.
 func (u *updates) deltaStats() (perDataset map[string]datasetDeltaStats, words int64) {
+	datasets := u.catalog.all()
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if len(u.versions) == 0 {
-		return nil, 0
-	}
-	perDataset = make(map[string]datasetDeltaStats, len(u.versions))
-	for name, v := range u.versions {
+	for _, d := range datasets {
+		v := d.version
+		if v == nil {
+			continue
+		}
+		if perDataset == nil {
+			perDataset = map[string]datasetDeltaStats{}
+		}
 		added, deleted := v.snap.DeltaArcs()
-		armed, seen := u.armed[name]
-		perDataset[name] = datasetDeltaStats{
+		perDataset[d.name] = datasetDeltaStats{
 			DeltaWords:           v.snap.DeltaWords(),
 			DeltaArcsAdded:       added,
 			DeltaArcsDeleted:     deleted,
-			OverlayCostPredicted: costmodel.OverlayOverhead(&u.model, v.snap.DeltaWords(), added, deleted),
-			AutoCompactArmed:     armed || !seen,
+			OverlayCostPredicted: u.overlayCost(v.snap),
+			AutoCompactArmed:     !d.disarmed,
 		}
 		words += v.snap.DeltaWords()
 	}
@@ -307,39 +261,34 @@ type updateResult struct {
 // errors), errReadOnly (the WAL is unwritable, 503), errShuttingDown
 // (close() began, 503), or an IO error.
 //
-// With durability enabled the batch is staged into the dataset's log and
-// carried through the group-commit barrier — under the always policy it
-// is durable — before its overlay becomes visible, so the published state
-// never gets ahead of the log; the dataset lock is released for the fsync
-// wait (see the package comment). A batch that changes nothing publishes
-// nothing: no swap, no log record, and no generation bump, so cached
-// results survive it. A compaction requested alongside ops is a second
-// phase: if the container rewrite fails, the (already durable, already
-// published) overlay stands, and the failure is reported in-band through
-// updateResult.compactErr — exactly the state crash recovery would
-// rebuild.
-func (u *updates) apply(name string, ops []sage.EdgeOp, compact bool) (*updateResult, error) {
-	return u.applySync(name, ops, compact, 0)
-}
-
-// applySync is apply with a generation floor: when the batch publishes a
-// new generation (a real swap or a compaction), that generation is
-// raised to at least minGen (0: no floor). The cluster router sets the
-// floor on update fan-out — X-Sage-Sync-Generation carries the primary
-// owner's post-batch generation — so every owner publishes the same
-// batch at the same generation and (generation, algo, args) result-cache
-// keys mean the same thing on every replica. A no-op batch keeps its
-// no-publish guarantee: contents already match the floor's state, so
-// cached results stay valid and the existing generation is reported.
-func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen uint64) (*updateResult, error) {
-	path, err := u.catalog.path(name)
+// With durability enabled the batch joins the dataset's staged chain and
+// is carried through the group-commit barrier — under the always policy
+// it is durable — before its overlay becomes visible, so the published
+// state never gets ahead of the log; the writer mutex is released for
+// the fsync wait (see the package comment). A batch that changes nothing
+// publishes nothing: no swap, no log record, and no generation bump, so
+// cached results survive it. A compaction requested alongside ops is a
+// second phase: if the container rewrite fails, the (already durable,
+// already published) overlay stands, and the failure is reported in-band
+// through updateResult.compactErr — exactly the state crash recovery
+// would rebuild.
+//
+// minGen is a generation floor: when the batch publishes a new
+// generation (a real swap or a compaction), that generation is raised to
+// at least minGen (0: no floor). The cluster router sets the floor on
+// update fan-out — X-Sage-Sync-Generation carries the primary owner's
+// post-batch generation — so every owner publishes the same batch at the
+// same generation and (generation, algo, args) result-cache keys mean
+// the same thing on every replica. A no-op batch keeps its no-publish
+// guarantee: contents already match the floor's state, so cached results
+// stay valid and the existing generation is reported.
+func (u *updates) apply(name string, ops []sage.EdgeOp, compact bool, minGen uint64) (*updateResult, error) {
+	d, err := u.catalog.get(name)
 	if err != nil {
 		return nil, err
 	}
-
-	l := u.lockDataset(name)
-	l.Lock()
-	defer l.Unlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 
 	if u.isClosed() {
 		return nil, errShuttingDown
@@ -347,62 +296,58 @@ func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen
 
 	var ws *walState
 	if u.wcfg.Enabled {
-		ws = u.recoverLocked(name, path)
+		ws = u.recoverLocked(d)
 		if u.logOf(ws) == nil {
 			// The log failed to open (or to reopen after compaction).
 			// Retry the whole recovery so a healed disk needs no restart;
-			// with no open log there can be no current version, so a
-			// fresh replay cannot double-apply anything.
+			// replay skips a dataset that already has a published
+			// version, so it cannot double-apply anything.
 			u.mu.Lock()
-			delete(u.walStates, name)
+			d.wal = nil
 			u.mu.Unlock()
-			ws = u.recoverLocked(name, path)
+			ws = u.recoverLocked(d)
 		}
 	}
 
 	// A compaction folds the overlay into the container, so it cannot run
-	// with a commit window still in flight: flush the staged tip here,
-	// under the lock. A failed flush rolls the window back — those
-	// batches were never acknowledged — and the compaction proceeds from
-	// the published state.
+	// with a commit window in flight: wait out the staged chain here,
+	// under the lock. Its failed suffix is dropped (none of it was
+	// acknowledged); the durable prefix is built on below, published and
+	// folded in.
 	if compact {
-		if tip := u.stagedOf(name); tip != nil {
-			log := u.logOf(ws)
-			if log == nil {
-				u.clearStaged(name)
-			} else if err := log.Commit(tip.p); err != nil {
-				u.clearStaged(name)
-			}
-		}
+		u.dropFailed(d, nil)
 	}
 
 	// The new version needs its own pin on the base mapping. While we hold
-	// the dataset's update lock no compaction can invalidate the entry,
-	// and any current version's pin keeps it from being evicted, so this
-	// resolves to the same mapping the current snapshot composes with.
-	h, err := u.catalog.acquire(name)
+	// the writer mutex no compaction can invalidate the entry, and any
+	// current version's or staged entry's pin keeps it from being
+	// evicted, so this resolves to the mapping they compose with.
+	h, err := u.catalog.acquire(d)
 	if err != nil {
 		return nil, err
 	}
 
-	// Build the batch on the staged tip (an open commit window) when one
-	// exists, else on the published version, and stage its WAL record
-	// chained after the tip's. A stale-chain rejection means the window
-	// we extended rolled back with its failed group fsync while we were
-	// applying ops; rebase once onto the published state.
+	// Build the batch on the chain's tail when there is one, else on the
+	// published version, and stage its WAL record chained after the
+	// tail's. A stale-chain rejection means the tail's commit window
+	// failed while we were applying ops; drop the failed suffix and
+	// rebuild once on what remains.
 	var snap, next *sage.Snapshot
 	var cur *snapVersion
 	var pend *wal.Pending
 	var log *wal.Log
 	noop := false
 	for attempt := 0; ; attempt++ {
-		tip := u.stagedOf(name)
+		var tail *stagedBatch
 		u.mu.Lock()
-		cur = u.versions[name]
+		cur = d.version
+		if n := len(d.staged); n > 0 {
+			tail = d.staged[n-1]
+		}
 		u.mu.Unlock()
 		base := cur
-		if tip != nil {
-			base = &snapVersion{snap: tip.snap, ds: tip.ds}
+		if tail != nil {
+			base = &snapVersion{snap: tail.snap, ds: tail.ds}
 		}
 		if base != nil {
 			if base.ds != h.Dataset() { // unreachable; guards the pin invariant
@@ -430,23 +375,29 @@ func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen
 		// receiver (every op was a no-op against the overlay), or the
 		// batch cancelled out over the bare base — is not swapped,
 		// logged, or generation-bumped, so cached results survive it.
-		// A compaction requested alongside still runs.
+		// A compaction requested alongside still runs. On a staged tail
+		// that is not yet published, though, ops still ride the chain
+		// (their 200 must wait until what they sit on is durable), and a
+		// compaction publishes the flushed chain before folding it.
 		noop = next == snap || (base == nil && next.DeltaWords() == 0)
+		if tail != nil && (len(ops) > 0 || compact) {
+			noop = false
+		}
 
 		if ws == nil || len(ops) == 0 || noop {
 			break
 		}
 		var after *wal.Pending
-		if tip != nil {
-			after = tip.p
+		if tail != nil {
+			after = tail.p
 		}
 		log = u.logOf(ws)
-		pend, err = u.walStage(ws, name, log, ops, after)
+		pend, err = u.walStage(ws, d, log, ops, after)
 		if err == nil {
 			break
 		}
 		if errors.Is(err, wal.ErrStaleChain) && attempt == 0 {
-			u.clearStaged(name)
+			u.dropFailed(d, nil)
 			continue
 		}
 		h.Release()
@@ -454,6 +405,14 @@ func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen
 	}
 
 	res := &updateResult{vertices: next.NumVertices(), edges: next.NumEdges()}
+	res.deltaWords = next.DeltaWords()
+	res.arcsAdded, res.arcsDeleted = next.DeltaArcs()
+	applied := func() {
+		if len(ops) > 0 {
+			u.batches.Add(1)
+			u.opsApplied.Add(int64(len(ops)))
+		}
+	}
 
 	if noop && !compact {
 		if cur != nil {
@@ -461,104 +420,113 @@ func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen
 		} else {
 			res.generation = h.Generation()
 		}
-		res.deltaWords = next.DeltaWords()
-		res.arcsAdded, res.arcsDeleted = next.DeltaArcs()
 		h.Release()
-		if len(ops) > 0 {
-			u.batches.Add(1)
-			u.opsApplied.Add(int64(len(ops)))
-		}
+		applied()
 		return res, nil
 	}
 
-	var ticket uint64
+	var own *stagedBatch
 	if pend != nil && !compact {
-		// Open the commit window: install the tip so the next writer can
-		// stage on it, release the dataset, and wait out the barrier.
-		ticket = u.stageTip(name, &stagedBatch{snap: next, ds: h.Dataset(), p: pend})
-		l.Unlock()
+		// Open the commit window: append our entry as the chain's tail so
+		// the next writer can build on it, release the dataset, and wait
+		// out the barrier.
+		own = &stagedBatch{snap: next, ds: h.Dataset(), log: log, p: pend}
+		u.mu.Lock()
+		d.staged = append(d.staged, own)
+		u.mu.Unlock()
+		d.mu.Unlock()
 		err := u.walCommit(ws, name, log, pend)
-		l.Lock()
+		if u.afterCommit != nil {
+			u.afterCommit(err)
+		}
+		d.mu.Lock()
 		if err != nil {
-			u.clearStagedIf(name, ticket)
+			u.dropFailed(d, own)
 			h.Release()
 			return nil, err
 		}
-		if u.isClosed() {
+		u.mu.Lock()
+		closed := u.closed
+		if closed {
+			d.staged = nil // close() may have run before we staged
+		}
+		superseded, gen := !slices.Contains(d.staged, own), d.gen
+		u.mu.Unlock()
+		if closed {
 			// close() won the relock race. The batch is durable and will
-			// replay on restart, but nothing may repopulate the version
-			// map now.
-			u.clearStagedIf(name, ticket)
+			// replay on restart, but nothing may repopulate the record now.
 			h.Release()
 			return nil, errShuttingDown
 		}
-		if gen, ok := u.supersededGen(name, ticket); ok {
-			// A later batch staged on ours published while we waited; its
-			// snapshot includes our ops, so our publish already happened.
+		if superseded {
+			// A later batch built on ours published (or a compaction
+			// folded the chain) while we waited: our ops are in that
+			// state, so our publish already happened.
 			res.generation = gen
-			res.deltaWords = next.DeltaWords()
-			res.arcsAdded, res.arcsDeleted = next.DeltaArcs()
-			u.clearStagedIf(name, ticket)
 			h.Release()
-			u.batches.Add(1)
-			u.opsApplied.Add(int64(len(ops)))
+			applied()
 			return res, nil
 		}
 	} else if pend != nil {
 		// Compacting batch: it must be durable before the fold, and the
-		// whole request stays serialized under the dataset lock.
+		// whole request stays serialized under the writer mutex.
 		if err := u.walCommit(ws, name, log, pend); err != nil {
 			h.Release()
 			return nil, err
 		}
 	}
 
-	if !noop {
-		if ticket == 0 {
-			ticket = u.newTicket(name)
-		}
-		res.generation = u.catalog.cache.Bump(path)
+	if noop {
+		res.generation = h.Generation()
+		h.Release()
+	} else {
+		res.generation = u.catalog.cache.Bump(d.path)
 		if minGen > res.generation {
-			res.generation = u.catalog.cache.BumpTo(path, minGen)
+			res.generation = u.catalog.cache.BumpTo(d.path, minGen)
 		}
-		res.deltaWords = next.DeltaWords()
-		res.arcsAdded, res.arcsDeleted = next.DeltaArcs()
-		if next.DeltaWords() == 0 {
+		var nv *snapVersion
+		if next.DeltaWords() != 0 {
+			nv = &snapVersion{snap: next, gen: res.generation, ds: h.Dataset(), h: h, refs: 1}
+		} else {
 			// The batch cancelled the overlay out: back to the plain base
 			// at the bumped generation.
 			h.Release()
-			u.retire(name)
-		} else {
-			nv := &snapVersion{snap: next, gen: res.generation, ds: h.Dataset(), h: h, refs: 1}
-			u.mu.Lock()
-			if u.closed {
-				// close() snapshotted the version map between our fast
-				// closed check and this swap; installing nv now would leak
-				// its base pin past shutdown.
-				u.mu.Unlock()
-				h.Release()
-				u.clearStagedIf(name, ticket)
-				return nil, errShuttingDown
-			}
-			old := u.versions[name]
-			u.versions[name] = nv
-			u.mu.Unlock()
-			if old != nil {
-				u.unref(old)
-			}
 		}
-		u.markPublished(name, ticket, res.generation)
-	} else {
-		res.generation = h.Generation()
-		h.Release()
+		u.mu.Lock()
+		if u.closed {
+			// close() tore the records down between our closed check and
+			// this swap; installing nv now would leak its base pin past
+			// shutdown.
+			d.staged = nil
+			u.mu.Unlock()
+			if nv != nil {
+				h.Release()
+			}
+			return nil, errShuttingDown
+		}
+		// next includes every entry up to our own — the whole chain when
+		// we built on its tail under the lock.
+		n := len(d.staged)
+		if own != nil {
+			n = slices.Index(d.staged, own) + 1
+		}
+		clear(d.staged[:n])
+		d.staged = d.staged[n:]
+		old := d.version
+		d.version, d.gen = nv, res.generation
+		if nv == nil {
+			d.disarmed = false // no overlay: see retire
+		}
+		u.mu.Unlock()
+		if old != nil {
+			u.unref(old)
+		}
 	}
-	if len(ops) > 0 {
-		u.batches.Add(1)
-		u.opsApplied.Add(int64(len(ops)))
-	}
+	applied()
 
+	compacted := false
 	if compact {
-		if err := u.compactLocked(name, path, ws, next, res); err != nil {
+		if err := u.compactLocked(d, ws, next, res); err != nil {
 			// The batch itself is durable and published; only the fold
 			// failed. Report it in-band (200 with compact_error) — what
 			// the client sees is exactly the state crash recovery would
@@ -566,44 +534,49 @@ func (u *updates) applySync(name string, ops []sage.EdgeOp, compact bool, minGen
 			res.compactErr = err
 			return res, nil
 		}
+		compacted = true
+	} else if u.autoHigh > 0 && res.deltaWords > 0 {
+		compacted = u.maybeAutoCompact(d, ws, next, res)
+		res.autoCompacted = compacted
+	}
+	if compacted {
 		res.compacted = true
 		if minGen > res.generation {
-			res.generation = u.catalog.cache.BumpTo(path, minGen)
+			res.generation = u.catalog.cache.BumpTo(d.path, minGen)
 		}
 		res.deltaWords = 0
 		res.arcsAdded, res.arcsDeleted = 0, 0
-		// Re-key the publication at the post-compact generation so a
-		// superseded writer waking now reports the generation readers see.
-		u.markPublished(name, u.newTicket(name), res.generation)
-	} else if u.autoHigh > 0 && res.deltaWords > 0 && u.stagedOf(name) == nil {
-		u.maybeAutoCompact(name, path, ws, next, res)
+		// A superseded writer waking now reports the generation readers see.
+		u.mu.Lock()
+		d.gen = res.generation
+		u.mu.Unlock()
 	}
 	return res, nil
 }
 
 // maybeAutoCompact re-prices the just-published overlay's traversal
-// overhead and folds it into the base when the hysteresis band says so.
-// Caller holds the dataset update lock with no commit window in flight
-// and has published next (so a compaction failure leaves exactly the
-// state an explicit compact failure would: a durable, consistent
-// overlay). The batch itself never fails on the auto path — its overlay
-// is already live.
-func (u *updates) maybeAutoCompact(name, path string, ws *walState, next *sage.Snapshot, res *updateResult) {
-	if !u.shouldAutoCompact(name, u.overlayCost(next)) {
-		return
+// overhead and folds it into the base when the hysteresis band says so,
+// reporting whether it did. Caller holds d.mu and has published next (so
+// a compaction failure leaves exactly the state an explicit compact
+// failure would: a durable, consistent overlay). It waits for an empty
+// staged chain: a fold must not run under a commit window in flight. The
+// batch itself never fails on the auto path — its overlay is already
+// live.
+func (u *updates) maybeAutoCompact(d *dataset, ws *walState, next *sage.Snapshot, res *updateResult) bool {
+	u.mu.Lock()
+	inFlight := len(d.staged) > 0
+	u.mu.Unlock()
+	if inFlight || !u.shouldAutoCompact(d, u.overlayCost(next)) {
+		return false
 	}
-	if err := u.compactLocked(name, path, ws, next, res); err != nil {
+	if err := u.compactLocked(d, ws, next, res); err != nil {
 		// Stay disarmed: a failing compaction is retried at the next
 		// crossing of the band, not on every batch.
 		u.autoCompactErrors.Add(1)
-		return
+		return false
 	}
 	u.autoCompactions.Add(1)
-	res.compacted = true
-	res.autoCompacted = true
-	res.deltaWords = 0
-	res.arcsAdded, res.arcsDeleted = 0, 0
-	u.markPublished(name, u.newTicket(name), res.generation)
+	return true
 }
 
 // shouldAutoCompact is the hysteresis decision: fire only when armed and
@@ -612,46 +585,39 @@ func (u *updates) maybeAutoCompact(name, path string, ws *walState, next *sage.S
 // batches hovering at the threshold therefore trigger exactly one
 // compaction — the folded overlay restarts near zero, re-arming the
 // trigger naturally — and a failed compaction is not retried per batch.
-func (u *updates) shouldAutoCompact(name string, overhead int64) bool {
+func (u *updates) shouldAutoCompact(d *dataset, overhead int64) bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	armed, seen := u.armed[name]
-	if !seen {
-		armed = true
-	}
 	switch {
 	case overhead < u.autoLow:
-		u.armed[name] = true
-		return false
-	case armed && overhead >= u.autoHigh:
-		u.armed[name] = false
+		d.disarmed = false
+	case !d.disarmed && overhead >= u.autoHigh:
+		d.disarmed = true
 		return true
-	default:
-		u.armed[name] = armed
-		return false
 	}
+	return false
 }
 
 // compactLocked folds next's merged view into a rewritten container
 // (atomic temp-file rename through Create), swaps readers onto the new
 // generation, and retires the WAL chain whose records were folded in.
-// Caller holds the dataset update lock with no commit window in flight;
-// next's overlay state has already been published (or is empty), so a
-// failure here leaves a consistent, durable overlay behind.
-func (u *updates) compactLocked(name, path string, ws *walState, next *sage.Snapshot, res *updateResult) error {
-	if err := next.Compact(path); err != nil {
-		return fmt.Errorf("compacting %q: %w", name, err)
+// Caller holds d.mu with an empty staged chain; next's overlay state has
+// already been published (or is empty), so a failure here leaves a
+// consistent, durable overlay behind.
+func (u *updates) compactLocked(d *dataset, ws *walState, next *sage.Snapshot, res *updateResult) error {
+	if err := next.Compact(d.path); err != nil {
+		return fmt.Errorf("compacting %q: %w", d.name, err)
 	}
 	// The new container is durably in place. Swap readers over (in-flight
 	// runs finish on the detached old mapping) and retire the folded log.
-	u.catalog.cache.Invalidate(path)
-	u.retire(name)
-	u.retireSegment(ws, name, path)
+	u.catalog.cache.Invalidate(d.path)
+	u.retire(d)
+	u.retireSegment(ws, d)
 	// Reopen the compacted file now: a broken write surfaces here, and
 	// the response carries the generation new requests will see.
-	h2, err := u.catalog.acquire(name)
+	h2, err := u.catalog.acquire(d)
 	if err != nil {
-		return fmt.Errorf("reopening compacted %q: %w", name, err)
+		return fmt.Errorf("reopening compacted %q: %w", d.name, err)
 	}
 	res.generation = h2.Generation()
 	h2.Release()
@@ -659,16 +625,16 @@ func (u *updates) compactLocked(name, path string, ws *walState, next *sage.Snap
 	return nil
 }
 
-// retire removes name's current version (if any), dropping the map's
+// retire removes d's current version (if any), dropping the record's
 // reference.
-func (u *updates) retire(name string) {
+func (u *updates) retire(d *dataset) {
 	u.mu.Lock()
-	old := u.versions[name]
-	delete(u.versions, name)
+	old := d.version
+	d.version = nil
 	// No overlay left means its traversal overhead is genuinely zero, so
 	// the auto-compaction trigger re-arms (a *failed* compaction leaves
 	// the overlay — and the disarmed state — in place).
-	u.armed[name] = true
+	d.disarmed = false
 	u.mu.Unlock()
 	if old != nil {
 		u.unref(old)
@@ -676,32 +642,28 @@ func (u *updates) retire(name string) {
 }
 
 // close retires every version (in-flight pins still defer the base
-// release until their runs end) and closes every WAL log, flushing
-// buffered records per policy — a writer mid-commit-window has its
-// pending resolved (or failed) by Close, and the closed flag keeps any
-// racing write or recovery from reopening a log or republishing state
-// afterwards. The first close error is returned: Close performs the
-// final flush, so a failure here can mean a logged batch never reached
-// the disk.
+// release until their runs end), empties every staged chain and closes
+// every WAL log, flushing buffered records per policy — a writer
+// mid-commit-window has its pending resolved (or failed) by Close, and
+// the closed flag keeps any racing write or recovery from reopening a
+// log or republishing state afterwards. The first close error is
+// returned: Close performs the final flush, so a failure here can mean a
+// logged batch never reached the disk.
 func (u *updates) close() error {
+	datasets := u.catalog.all()
+	var logs []*wal.Log
 	u.mu.Lock()
 	u.closed = true
-	names := make([]string, 0, len(u.versions))
-	for name := range u.versions {
-		names = append(names, name)
-	}
-	logs := make([]*wal.Log, 0, len(u.walStates))
-	for _, ws := range u.walStates {
-		if ws.log != nil {
-			logs = append(logs, ws.log)
-			ws.log = nil
+	for _, d := range datasets {
+		if d.wal != nil && d.wal.log != nil {
+			logs = append(logs, d.wal.log)
+			d.wal.log = nil
 		}
+		d.wal, d.staged = nil, nil
 	}
-	u.walStates = map[string]*walState{}
-	u.staged = map[string]*stagedBatch{}
 	u.mu.Unlock()
-	for _, name := range names {
-		u.retire(name)
+	for _, d := range datasets {
+		u.retire(d)
 	}
 	var first error
 	for _, l := range logs {
@@ -766,11 +728,15 @@ type datasetDeltaStats struct {
 // of a dataset replays its surviving WAL records, so reads observe
 // recovered batches even before Recover has walked the catalog.
 func (s *Server) pinForRun(name string) (g *sage.Graph, gen uint64, release func(), err error) {
-	s.updates.ensureRecovered(name)
-	if v := s.updates.pin(name); v != nil {
+	d, err := s.catalog.get(name)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	s.updates.ensureRecovered(d)
+	if v := s.updates.pin(d); v != nil {
 		return v.snap.Graph(), v.gen, func() { s.updates.unref(v) }, nil
 	}
-	h, err := s.catalog.acquire(name)
+	h, err := s.catalog.acquire(d)
 	if err != nil {
 		return nil, 0, nil, err
 	}
